@@ -51,6 +51,7 @@ from .projection import (
     BlockPartition,
     ProjectedUpdate,
     UpdateVector,
+    _even_split,
     allocate_budgets,
     exact_project,
     project,
@@ -247,13 +248,6 @@ def _parse_skew(skew: str) -> tuple[str, float]:
         f"unknown skew {skew!r}; use 'iid' or 'label-skew(alpha)'")
 
 
-def _chunk_sizes(n: int, num_clients: int) -> list[int]:
-    sizes = [n // num_clients] * num_clients
-    for i in range(n % num_clients):
-        sizes[i] += 1
-    return sizes
-
-
 def _largest_remainder_counts(total: int, props: np.ndarray) -> np.ndarray:
     quota = total * props
     base = np.floor(quota).astype(np.int64)
@@ -267,7 +261,7 @@ def _skewed_split(examples: list[Example], targets: np.ndarray, n_clients: int,
                   alpha: float, rng: StreamRng) -> list[list[int]] | None:
     classes = np.unique(targets)
     pools = {c: list(np.flatnonzero(targets == c)) for c in classes}
-    sizes = _chunk_sizes(len(examples), n_clients)
+    sizes = _even_split(len(examples), n_clients)
     shards: list[list[int]] = []
     for i in range(n_clients):
         props = rng.dirichlet(alpha, len(classes))
@@ -303,7 +297,7 @@ def partition_data(full, num_clients: int, skew: str = "iid",
         rng = StreamRng(derive_subseed(seed, basis_index=_IDX_DATA))
         order = rng.shuffled(len(examples))
         shards, at = [], 0
-        for size in _chunk_sizes(len(examples), num_clients):
+        for size in _even_split(len(examples), num_clients):
             shards.append([int(i) for i in order[at:at + size]])
             at += size
         label = "iid" if kind == "iid" else skew
@@ -532,40 +526,16 @@ def run_round(state: ExperimentState, clients: list[ClientDataset],
     return apply_replies(state, cfg, frames, wall_local=wall_local)
 
 
-def subspace_round(state, clients, cfg: FedConfig):
-    """Seeded-subspace round (first-order local steps, projected uploads)."""
-    if cfg.method != "subspace":
-        raise ConfigError(f"config selects {cfg.method!r}")
-    return run_round(state, clients, cfg)
-
-
-def fedavg_round(state, clients, cfg: FedConfig):
-    """Raw-delta averaging round."""
-    if cfg.method != "fedavg":
-        raise ConfigError(f"config selects {cfg.method!r}")
-    return run_round(state, clients, cfg)
-
-
-def fedzo_round(state, clients, cfg: FedConfig):
-    """Zeroth-order local steps, raw delta on the wire."""
-    if cfg.method != "fedzo":
-        raise ConfigError(f"config selects {cfg.method!r}")
-    return run_round(state, clients, cfg)
-
-
-def fedkseed_round(state, clients, cfg: FedConfig):
-    """Sequential seeded zeroth-order steps, scalar log on the wire."""
-    if cfg.method != "fedkseed":
-        raise ConfigError(f"config selects {cfg.method!r}")
-    return run_round(state, clients, cfg)
-
-
 # ---------------------------------------------------------------- experiment
+
+def _block_layout(cfg: FedConfig, model: ModelSpec) -> tuple[int, ...]:
+    return (model.dim,) if cfg.partition_policy == "single" else model.block_dims
+
 
 def build_partition(cfg: FedConfig, model: ModelSpec,
                     block_norms: np.ndarray | None = None) -> BlockPartition:
     """Block layout from the model's parameter groups plus a budget split."""
-    dims = (model.dim,) if cfg.partition_policy == "single" else model.block_dims
+    dims = _block_layout(cfg, model)
     stats = [trunc_gauss_stats(d) for d in dims]
     if cfg.allocation_policy == "uniform" or block_norms is None:
         # equal weights: the allocator sees sqrt(norm / rho) = 1 for every block
@@ -585,9 +555,8 @@ def _calibration_norms(cfg: FedConfig, model: ModelSpec, w: ParamVector,
                          lr=cfg.local_lr, batch_size=cfg.batch_size,
                          accum=cfg.accum, rng=_local_rng(cfg, 0, first_id),
                          optimizer=cfg.optimizer)
-    dims = (model.dim,) if cfg.partition_policy == "single" else model.block_dims
     norms, at = [], 0
-    for d in dims:
+    for d in _block_layout(cfg, model):
         norms.append(float(np.linalg.norm(delta.values[at:at + d])))
         at += d
     return np.asarray(norms)

@@ -1,4 +1,4 @@
-"""Standard normal pdf/cdf and a high-accuracy inverse cdf.
+"""A high-accuracy inverse standard normal cdf.
 
 The inverse cdf follows Wichura's PPND16 rational approximations (three
 branches split on the distance from the median), which keeps the relative
@@ -44,18 +44,23 @@ _D = (
 )
 
 
-def norm_pdf(x):
-    x = np.asarray(x, dtype=np.float64)
-    return INV_SQRT_2PI * np.exp(-0.5 * x * x)
-
-
-def norm_cdf(x):
-    """Phi(x) through erfc, accurate in both tails."""
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return 0.5 * math.erfc(-float(x) / SQRT2)
-    flat = np.asarray(x, dtype=np.float64).ravel()
-    out = np.array([0.5 * math.erfc(-v / SQRT2) for v in flat])
-    return out.reshape(np.shape(x))
+def _ppf_central_inplace(p: np.ndarray) -> np.ndarray:
+    """norm_ppf restricted to |p - 0.5| <= 0.425, overwriting p; minimal temporaries."""
+    p -= 0.5
+    q = p
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    num = np.full_like(r, _A[7])
+    for c in _A[6::-1]:
+        num *= r
+        num += c
+    den = np.full_like(r, _B[7])
+    for c in _B[6::-1]:
+        den *= r
+        den += c
+    num *= q
+    num /= den
+    return num
 
 
 def _poly(coeffs, r):
@@ -110,8 +115,7 @@ def norm_ppf(p):
 
     central = np.abs(q) <= 0.425
     if np.any(central):
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _poly(_A, r) / _poly(_B, r)
+        out[central] = _ppf_central_inplace(p_arr[central])
 
     tail = ~central
     if np.any(tail):

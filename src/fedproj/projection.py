@@ -10,7 +10,9 @@ and ``reconstruct`` regenerates the same bases from the embedded seed and
 returns ``sum_k gamma_k v_k`` per block, which is an unbiased estimate of the
 original update.  Bases are never materialized whole: both directions stream
 fixed-size tiles of chunks in ascending basis order, so results are
-bit-identical across runs, thread counts, and tile sizes.
+bit-identical across runs and thread counts.  ``project`` is also independent
+of the tile size; ``reconstruct`` sums per tile, so its bits follow
+``_TILE_ELEMS``, a frozen engine rule (PROTOCOL.md) rather than a wire rule.
 
 ``exact_project`` is the reference route: it solves the block's normal
 equations outright and exists to cross-check the inversion-free rule.
@@ -43,7 +45,16 @@ PROJECTION_VERSION = 1
 
 # tile budget in elements; small enough to stay cache-friendly, large enough
 # to amortize dispatch.  Peak scratch memory is O(min(d_l * K_l, this)).
+# Frozen: reconstruct's summation grouping, and so its bits, follow it.
 _TILE_ELEMS = 1 << 19
+
+
+def _even_split(total: int, parts: int) -> list[int]:
+    """total as parts integers differing by at most one, larger ones first."""
+    sizes = [total // parts] * parts
+    for i in range(total % parts):
+        sizes[i] += 1
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -107,13 +118,8 @@ class BlockPartition:
         if num_blocks < 1 or dim < num_blocks:
             raise InvalidDimensionError(
                 f"cannot split dim {dim} into {num_blocks} blocks")
-        dims = [dim // num_blocks] * num_blocks
-        for i in range(dim % num_blocks):
-            dims[i] += 1
-        buds = [total_budget // num_blocks] * num_blocks
-        for i in range(total_budget % num_blocks):
-            buds[i] += 1
-        return cls(tuple(dims), tuple(buds))
+        return cls(tuple(_even_split(dim, num_blocks)),
+                   tuple(_even_split(total_budget, num_blocks)))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidDimensionError
-from .normal import _A, _B, SQRT2, norm_ppf
+from .normal import SQRT2, _ppf_central_inplace, norm_ppf
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GAMMA = 0x9E3779B97F4A7C15          # stream increment (splitmix-style)
@@ -159,25 +159,6 @@ class BasisChunk:
         return int(self.values.shape[0])
 
 
-def _ppf_central_inplace(p: np.ndarray) -> np.ndarray:
-    """norm_ppf restricted to |p - 0.5| <= 0.425, minimizing temporaries."""
-    p -= 0.5
-    q = p
-    r = q * q
-    np.subtract(0.180625, r, out=r)
-    num = np.full_like(r, _A[7])
-    for c in _A[6::-1]:
-        num *= r
-        num += c
-    den = np.full_like(r, _B[7])
-    for c in _B[6::-1]:
-        den *= r
-        den += c
-    num *= q
-    num /= den
-    return num
-
-
 def _trunc_values_inplace(u: np.ndarray, dim: int) -> np.ndarray:
     """Map uniforms in [0,1) to clipped float32 truncated-normal draws for a block."""
     stats = trunc_gauss_stats(dim)
@@ -191,34 +172,28 @@ def _trunc_values_inplace(u: np.ndarray, dim: int) -> np.ndarray:
     return v.astype(np.float32)
 
 
-def _chunk_values(stream_seed: RandomSeed, dim: int) -> np.ndarray:
-    return _trunc_values_inplace(uniform_stream(stream_seed, dim), dim)
-
-
 def sample_basis(seed: RandomSeed, block_dim: int, basis_index: int,
                  block: int = 0) -> BasisChunk:
-    """Regenerate the basis chunk for (seed, block, basis_index).
+    """Regenerate the basis chunk for (seed, block, basis_index): one basis_tile row.
 
     The chunk's stream seed is derive_subseed(seed, 0, 0, block, basis_index),
     so chunks of different blocks or basis indices never share a stream.
     """
-    if basis_index < 0:
-        raise InvalidDimensionError("basis_index must be non-negative")
-    trunc_gauss_stats(block_dim)  # validates block_dim
-    stream = derive_subseed(seed, 0, 0, block, basis_index)
+    values = basis_tile(seed, block, block_dim, basis_index, basis_index + 1)[0]
     return BasisChunk(seed=seed, basis_index=basis_index, block=block,
-                      values=_chunk_values(stream, block_dim))
+                      values=values)
 
 
 def basis_tile(seed: RandomSeed, block: int, block_dim: int,
                k_lo: int, k_hi: int) -> np.ndarray:
     """Rows k_lo..k_hi-1 of a block's basis as one (k_hi-k_lo, block_dim) float32 array.
 
-    Row k is bit-identical to sample_basis(seed, block_dim, k, block).values.
+    Row k uses the stream derive_subseed(seed, 0, 0, block, k); every row is a
+    pure function of its own stream, so any split of the rows gives the same bits.
     """
     if not 0 <= k_lo <= k_hi:
         raise InvalidDimensionError("invalid basis index range")
-    stats = trunc_gauss_stats(block_dim)
+    trunc_gauss_stats(block_dim)  # validates block_dim
     rows = k_hi - k_lo
     if rows == 0:
         return np.empty((0, block_dim), dtype=np.float32)
@@ -226,8 +201,8 @@ def basis_tile(seed: RandomSeed, block: int, block_dim: int,
         [derive_subseed(seed, 0, 0, block, k) for k in range(k_lo, k_hi)],
         dtype=np.uint64,
     )
-    state = row_seeds[:, None] + _counters(block_dim)[None, :]
+    state = row_seeds[:, None] + _counters(block_dim)
     z = _mix64_array(state)
     u = (z >> _U(11)).astype(np.float64)
     u *= _TWO_NEG53
-    return _trunc_values_inplace(u, block_dim).reshape(rows, block_dim)
+    return _trunc_values_inplace(u, block_dim)

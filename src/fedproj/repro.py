@@ -264,8 +264,3 @@ def format_records_csv(records) -> str:
             str(r.cumulative_download),
         )))
     return "\n".join(lines) + "\n"
-
-
-def write_series_csv(series: Series, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_series_csv(series))

@@ -37,6 +37,7 @@ from .wire import (
     encode_done,
     encode_frame,
     encode_round,
+    encode_shutdown,
     recv_frame,
     send_frame,
 )
@@ -120,7 +121,7 @@ def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
             send_frame(conn, encode_done(cfg.rounds))
         except BaseException:
             try:  # tell the worker to stop instead of letting its recv fail
-                send_frame(conn, encode_frame(TAG_SHUTDOWN, b""))
+                send_frame(conn, encode_shutdown())
             except OSError:
                 pass
             raise

@@ -24,13 +24,11 @@ from .errors import ConfigError
 from .federation import (ClientDataset, FedConfig, account_costs,
                          partition_data, run_experiment)
 from .models import ModelSpec, synthetic_regression
-from .normal import norm_ppf
 from .projection import (BlockPartition, UpdateVector, block_cost,
                          cosine_similarity, project, reconstruct)
-from .randbasis import (RandomSeed, derive_subseed, sample_basis,
-                        trunc_gauss_stats, uniform_stream)
-from .repro import (accuracy_vs_bases, allocation_ablation, drift_immunity,
-                    format_records_csv)
+from .randbasis import RandomSeed, basis_tile, derive_subseed, trunc_gauss_stats
+from .repro import (_normal_vec, accuracy_vs_bases, allocation_ablation,
+                    drift_immunity, format_records_csv)
 from .socketmode import run_experiment_sockets
 from .zoo import ZOConfig, zo_reconstruct, zo_scalar_grads
 
@@ -104,11 +102,6 @@ class CheckReport:
         return (f"[{tag}] {self.name}: measured {self.measured:.6g} vs "
                 f"target {self.bound:.6g} ({self.detail}) "
                 f"[seed={self.seed}, {self.runtime_s:.1f}s]")
-
-
-def _normal_vec(seed: RandomSeed, n: int) -> np.ndarray:
-    # shift keeps the uniforms strictly inside (0, 1) for the inverse CDF
-    return norm_ppf(uniform_stream(seed, n) + 2.0 ** -54)
 
 
 def _rel_err(recon: np.ndarray, delta: np.ndarray) -> float:
@@ -209,8 +202,7 @@ def _check_zo_connection(cfg: TheoryCheckConfig):
                                                         num_perturbations=k,
                                                         seed=bseed))
             zo_est = zo_reconstruct(scalars, part).values
-            rows = np.stack([sample_basis(bseed, d, j).values.astype(np.float64)
-                             for j in range(k)])
+            rows = basis_tile(bseed, 0, d, 0, k).astype(np.float64)
             projected = rows.T @ (rows @ grad) / k
             gap = float(np.linalg.norm(zo_est - projected))
             worst = max(worst, gap / limit)

@@ -13,7 +13,8 @@ payload.  Payload bodies:
     RAW        u32 n | f64 * n
 
 Server-side control tags: ROUND (u32 round | u32 n | f64 * n, the global
-parameter snapshot), DONE (u32 rounds completed), SHUTDOWN (empty).
+parameter snapshot), DONE (u32 rounds completed), SHUTDOWN (empty from the
+server; from a failing worker, u32 client_id | u32 iteration | utf-8 text).
 
 The in-process engine routes every payload through this codec too, so the
 socket demo and the simulator see byte-identical numbers.

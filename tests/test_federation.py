@@ -16,16 +16,12 @@ from fedproj.federation import (
     StreamRng,
     _local_rng,
     account_costs,
-    fedavg_round,
-    fedkseed_round,
-    fedzo_round,
     partition_data,
     projection_seed,
     run_experiment,
     run_round,
     sample_clients,
     setup_experiment,
-    subspace_round,
 )
 from fedproj.models import (
     Dataset,
@@ -232,7 +228,7 @@ class TestSubspaceRound:
         cfg = base_cfg(local_lr=0.0, rounds=1)
         state = setup_experiment(cfg, model, clients, data)
         w0 = state.w.values.copy()
-        new_w, record, _ = subspace_round(state, clients, cfg)
+        new_w, record, _ = run_round(state, clients, cfg)
         assert np.array_equal(new_w.values, w0)
         assert record.global_loss == pytest.approx(loss(model, state.w, data))
 
@@ -247,7 +243,7 @@ class TestSubspaceRound:
         state = setup_experiment(cfg, model, clients, data)
         w0 = state.w.values.copy()
         g = grad(model, state.w, clients[0].data).values
-        new_w, _, _ = subspace_round(state, clients, cfg)
+        new_w, _, _ = run_round(state, clients, cfg)
         want = w0 - 2.0 * 0.1 * g
         scale = np.linalg.norm(want - w0)
         assert np.linalg.norm(new_w.values - want) <= 1e-5 * scale
@@ -281,21 +277,9 @@ class TestSubspaceRound:
             total += tilde
         want = w0 - 1.5 * (total / 2)
 
-        new_w, _, msgs = subspace_round(state, clients, cfg)
+        new_w, _, msgs = run_round(state, clients, cfg)
         assert len(msgs) == 2
         np.testing.assert_allclose(new_w.values, want, rtol=1e-10, atol=1e-13)
-
-    def test_round_engines_check_the_method(self):
-        model, data = small_regression(n=40)
-        clients = partition_data(data, 4, seed=7)
-        for wrapper, method in ((subspace_round, "fedavg"),
-                                (fedavg_round, "subspace"),
-                                (fedzo_round, "subspace"),
-                                (fedkseed_round, "fedzo")):
-            cfg = base_cfg(method=method, rounds=1)
-            state = setup_experiment(cfg, model, clients, data)
-            with pytest.raises(ConfigError):
-                wrapper(state, clients, cfg)
 
 
 class TestFedavgRound:
@@ -316,7 +300,7 @@ class TestFedavgRound:
             total += delta.values
         want = w0 - 0.75 * (total / 2)
 
-        new_w, _, msgs = fedavg_round(state, clients, cfg)
+        new_w, _, msgs = run_round(state, clients, cfg)
         # raw deltas ride the wire as float64, so this is bit-exact
         assert np.array_equal(new_w.values, want)
         assert all(m.upload_units == model.dim for m in msgs)
@@ -463,7 +447,7 @@ class TestProtocolInvariants:
         state = setup_experiment(cfg, model, clients, data)
         part = state.partition
         w0_param = ParamVector(values=state.w.values.copy(), layout=model.layout)
-        _, _, msgs = subspace_round(state, clients, cfg)
+        _, _, msgs = run_round(state, clients, cfg)
         for msg in msgs:
             server_side = reconstruct(msg.payload, part).values
             client = clients[msg.client_id]

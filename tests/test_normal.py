@@ -4,32 +4,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fedproj.normal import norm_cdf, norm_pdf, norm_ppf
+from fedproj.normal import norm_ppf
 
 mp.mp.dps = 50
 
 
 def _ppf_oracle(p: float) -> float:
     return float(mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1))
-
-
-def test_pdf_matches_closed_form():
-    xs = np.linspace(-6, 6, 31)
-    want = np.exp(-0.5 * xs ** 2) / math.sqrt(2 * math.pi)
-    np.testing.assert_allclose(norm_pdf(xs), want, rtol=1e-15)
-
-
-def test_cdf_against_mpmath():
-    for x in (-8.0, -3.5, -1.0, -0.1, 0.0, 0.7, 2.0, 9.0):
-        want = float(mp.ncdf(x))
-        assert abs(norm_cdf(x) - want) <= 1e-15 + 1e-14 * abs(want)
-
-
-def test_cdf_array_shape():
-    xs = np.array([[-1.0, 0.0], [1.0, 2.0]])
-    out = norm_cdf(xs)
-    assert out.shape == xs.shape
-    assert abs(out[0, 1] - 0.5) < 1e-15
 
 
 @pytest.mark.parametrize("p", [1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.1, 0.25, 0.5,
@@ -58,7 +39,8 @@ def test_ppf_deep_tail_forward_check():
 
 def test_ppf_cdf_roundtrip():
     for x in (-7.5, -2.0, -0.3, 0.0, 1.1, 4.0):
-        assert abs(norm_ppf(norm_cdf(x)) - x) < 1e-9 * max(1.0, abs(x))
+        phi = 0.5 * math.erfc(-x / math.sqrt(2.0))
+        assert abs(norm_ppf(phi) - x) < 1e-9 * max(1.0, abs(x))
 
 
 def test_ppf_vectorized_matches_scalar():

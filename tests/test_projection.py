@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedproj import projection
 from fedproj.errors import (
     InfeasibleBudgetError,
     InvalidDimensionError,
@@ -144,6 +145,17 @@ def test_project_deterministic_repeat():
     b = project(u, seed=77)
     for ca, cb in zip(a.block_coords, b.block_coords):
         assert np.array_equal(ca, cb)
+
+
+@pytest.mark.parametrize("dim,budget", [(4096, 256), (1000, 64)])
+def test_project_bits_do_not_depend_on_tile_size(monkeypatch, dim, budget):
+    # every coordinate is one full-row dot product, so the row grouping never
+    # reaches project's sums; reconstruct's grouping does (PROTOCOL.md)
+    u = UpdateVector(_gauss(21, dim), BlockPartition.single(dim, budget))
+    want = project(u, seed=5).block_coords[0]
+    for tile in (1 << 12, 1 << 15):
+        monkeypatch.setattr(projection, "_TILE_ELEMS", tile)
+        assert np.array_equal(project(u, seed=5).block_coords[0], want)
 
 
 def test_blockwise_equals_per_block_oracle():

@@ -9,6 +9,7 @@ from fedproj.errors import InvalidDimensionError
 from fedproj.randbasis import (
     GAMMA,
     MASK64,
+    _clip_bound,
     basis_tile,
     derive_subseed,
     mix64,
@@ -183,6 +184,18 @@ def test_tile_equals_chunks_any_split():
             whole[k], sample_basis(seed, dim, k, block=block).values)
     np.testing.assert_array_equal(whole[4:9], basis_tile(seed, block, dim, 4, 9))
     assert basis_tile(seed, block, dim, 5, 5).shape == (0, dim)
+
+
+def test_tile_rows_are_clipped_trunc_gauss_streams():
+    # basis_tile and norm_ppf share one PPND16 evaluator, so a row is its
+    # stream's public truncated-normal draws, clipped and rounded to float32
+    dim, seed, block = 1000, 11, 2
+    tile = basis_tile(seed, block, dim, 0, 4)
+    bound, clip = trunc_gauss_stats(dim).bound, _clip_bound(dim)
+    for k in range(4):
+        stream = trunc_gauss_stream(derive_subseed(seed, 0, 0, block, k), dim, bound)
+        np.testing.assert_array_equal(
+            tile[k], np.clip(stream, -clip, clip).astype(np.float32))
 
 
 def test_parallel_generation_equals_serial():

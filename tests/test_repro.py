@@ -8,7 +8,7 @@ from fedproj.federation import RoundRecord
 from fedproj.repro import (RECORD_COLUMNS, SERIES_NAMES, Series,
                            accuracy_vs_bases, allocation_ablation,
                            build_series, drift_immunity, format_records_csv,
-                           format_series_csv, rounds_curve, write_series_csv)
+                           format_series_csv, rounds_curve)
 
 
 class TestSeries:
@@ -130,12 +130,6 @@ class TestCsvFormatting:
     def test_series_csv_layout(self):
         s = Series(name="toy", columns=("x", "y"), rows=((1.0, 0.5),), seed=0)
         assert format_series_csv(s) == "x,y\n1.0,0.5\n"
-
-    def test_write_matches_format(self, tmp_path):
-        s = allocation_ablation(trials=2, seed=4)
-        path = tmp_path / "s.csv"
-        write_series_csv(s, str(path))
-        assert path.read_text() == format_series_csv(s)
 
     def test_records_csv_header_and_types(self):
         rec = RoundRecord(round_index=0, global_loss=0.5, eval_metric=0.25,
