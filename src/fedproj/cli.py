@@ -233,7 +233,7 @@ def cmd_protocol_dump(args) -> int:
         "  entries stored as float32; reconstruction divides by rho(dim)",
         f"  rho switches to a series expansion at dim >= {_RHO_SERIES_MIN_DIM}",
         f"  rho(10^6) = {rho_big!r}",
-        f"  generation tile size = {_TILE_ELEMS} entries",
+        f"  reconstruct row-group size = {_TILE_ELEMS} entries",
         "wire format",
         f"  PROJECTION_VERSION = {PROJECTION_VERSION}",
         "  frame = u32 little-endian body length, u8 tag, body",

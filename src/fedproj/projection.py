@@ -8,11 +8,12 @@ coordinate vector per block using the inversion-free rule
 
 and ``reconstruct`` regenerates the same bases from the embedded seed and
 returns ``sum_k gamma_k v_k`` per block, which is an unbiased estimate of the
-original update.  Bases are never materialized whole: both directions stream
-fixed-size tiles of chunks in ascending basis order, so results are
-bit-identical across runs and thread counts.  ``project`` is also independent
-of the tile size; ``reconstruct`` sums per tile, so its bits follow
-``_TILE_ELEMS``, a frozen engine rule (PROTOCOL.md) rather than a wire rule.
+original update.  Bases are never materialized whole: both directions walk
+fixed-size row groups of chunks in ascending basis order, so results are
+bit-identical across runs and thread counts.  How ``basis_tile`` spans its
+generation changes no bit.  ``project`` is also independent of the row-group
+size; ``reconstruct`` sums per group, so its bits follow ``_TILE_ELEMS``, a
+frozen engine rule (PROTOCOL.md) rather than a wire rule.
 
 ``exact_project`` is the reference route: it solves the block's normal
 equations outright and exists to cross-check the inversion-free rule.
@@ -43,9 +44,9 @@ from .randbasis import (
 
 PROJECTION_VERSION = 1
 
-# tile budget in elements; small enough to stay cache-friendly, large enough
-# to amortize dispatch.  Peak scratch memory is O(min(d_l * K_l, this)).
-# Frozen: reconstruct's summation grouping, and so its bits, follow it.
+# row-group size in elements: project and reconstruct take max(1, this // d_l)
+# basis rows per basis_tile call.  Frozen: reconstruct's summation grouping,
+# and so its bits, follow it.  Generation spans are randbasis._SPAN.
 _TILE_ELEMS = 1 << 19
 
 

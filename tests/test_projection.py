@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedproj import projection
+from fedproj import projection, randbasis
 from fedproj.errors import (
     InfeasibleBudgetError,
     InvalidDimensionError,
@@ -156,6 +156,23 @@ def test_project_bits_do_not_depend_on_tile_size(monkeypatch, dim, budget):
     for tile in (1 << 12, 1 << 15):
         monkeypatch.setattr(projection, "_TILE_ELEMS", tile)
         assert np.array_equal(project(u, seed=5).block_coords[0], want)
+
+
+@pytest.mark.parametrize("dim,budget", [(4096, 256), (1000, 64), (65536, 8)])
+def test_bits_do_not_depend_on_generation_span(monkeypatch, dim, budget):
+    # generation spans are elementwise and feed no sum, so basis_tile,
+    # project and reconstruct keep their bits at any span size, including
+    # spans shorter than one row
+    u = UpdateVector(_gauss(23, dim), BlockPartition.single(dim, budget))
+    tile = basis_tile(9, 0, dim, 0, budget)
+    msg = project(u, seed=9)
+    back = reconstruct(msg, u.partition).values
+    for span in (1 << 10, 1 << 12, 1 << 17):
+        monkeypatch.setattr(randbasis, "_SPAN", span)
+        assert np.array_equal(basis_tile(9, 0, dim, 0, budget), tile)
+        coords = project(u, seed=9).block_coords[0]
+        assert np.array_equal(coords, msg.block_coords[0])
+        assert np.array_equal(reconstruct(msg, u.partition).values, back)
 
 
 def test_blockwise_equals_per_block_oracle():

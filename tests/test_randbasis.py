@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -196,6 +198,41 @@ def test_tile_rows_are_clipped_trunc_gauss_streams():
         stream = trunc_gauss_stream(derive_subseed(seed, 0, 0, block, k), dim, bound)
         np.testing.assert_array_equal(
             tile[k], np.clip(stream, -clip, clip).astype(np.float32))
+
+
+# sha256 of basis_tile(seed, block=3, d, 17, 17 + rows).tobytes(), frozen from
+# the whole-tile generator: one span, several column spans, a partial last
+# span, several rows per span, zero rows and d = 1
+_TILE_DIGESTS = {
+    (1, 3): "1738a7fe7d5f063613c66f8e06922e5154e2ffb54c1c8f626bf81419fa4cff3d",
+    (10, 10): "76289b1aa8aee7f89b7daf61e7badc5adcdbf556f725ed4e7b413bc119fb2c16",
+    (256, 82): "ff05d482f4cbca9a2a96354ef73eb09c208575e9aec7649c454f32e069bef20b",
+    (2410, 1): "fbf062cd9d94de5b1cc271ed29a51e551ce8246867720cf14970106f17a03dd3",
+    (32769, 2): "e9b7c7fe76bdb5ba060f653409255a7f96b5318402bc2d9e9287130eb99a8480",
+    (65536, 8): "cdf4d66e17db6c1a50041d27fb849515c052f6fa6018669051bff73f42efe85f",
+    (1 << 20, 1): "651fa8b3cf1a0266c3e4af1010efff337a9bdbf197a619339d0cf1dd6da0a9fe",
+    (4096, 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+@pytest.mark.parametrize("dim,rows", sorted(_TILE_DIGESTS))
+def test_tile_golden_digest(dim, rows):
+    tile = basis_tile(0x1234ABCD5678EF01, 3, dim, 17, 17 + rows)
+    assert tile.shape == (rows, dim) and tile.dtype == np.float32
+    assert hashlib.sha256(tile.tobytes()).hexdigest() == _TILE_DIGESTS[dim, rows]
+
+
+def test_tile_scratch_memory_stays_span_sized():
+    # a d = 2^20 row needs its 4 MiB output plus span-sized temporaries, not
+    # ~40 MiB of whole-row float64 temporaries
+    basis_tile(12345, 0, 1 << 20, 0, 1)  # fills the per-dim counter cache
+    tracemalloc.start()
+    try:
+        out = basis_tile(12345, 0, 1 << 20, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (2 << 20)
 
 
 def test_parallel_generation_equals_serial():
