@@ -33,6 +33,7 @@ from .errors import (
     ConfigError,
     DivergedError,
     InvalidDimensionError,
+    NumericError,
     PartitionError,
     ProtocolError,
 )
@@ -363,7 +364,10 @@ def _zo_local_delta(cfg: FedConfig, model: ModelSpec, w_values: np.ndarray,
         zcfg = ZOConfig(epsilon=cfg.zo_epsilon,
                         num_perturbations=cfg.total_bases,
                         seed=derive_subseed(zo_seed, round_index=t + 1))
-        grads = zo_scalar_grads(lambda v: loss(model, v, data), cur, zcfg)
+        try:
+            grads = zo_scalar_grads(lambda v: loss(model, v, data), cur, zcfg)
+        except NumericError as err:
+            raise DivergedError(str(err), iteration=t) from err
         step = zo_reconstruct(grads, part).values
         if not np.all(np.isfinite(step)):
             raise DivergedError("zeroth-order step became non-finite", iteration=t)
@@ -404,9 +408,12 @@ def client_update_frame(cfg: FedConfig, model: ModelSpec,
                             num_perturbations=cfg.total_bases,
                             seed=projection_seed(cfg, round_index,
                                                  client.client_id))
-            _, payload = fedkseed_local_step(
-                w_values, lambda v: loss(model, v, client.data), zcfg,
-                lr=cfg.local_lr)
+            try:
+                _, payload = fedkseed_local_step(
+                    w_values, lambda v: loss(model, v, client.data), zcfg,
+                    lr=cfg.local_lr)
+            except NumericError as err:  # err.index is the sequential step
+                raise DivergedError(str(err), iteration=err.index) from err
     except DivergedError as err:
         raise DivergedError(str(err), iteration=err.iteration,
                             round_index=round_index,

@@ -8,11 +8,20 @@ them in ascending id order through the same ``client_update_frame`` code path
 as the in-process simulator, and streams the replies back.  Because both modes
 route identical bytes into ``apply_replies``, their records match field for
 field apart from wall times.
+
+The worker runs its BLAS single-threaded.  Its gemms are per-client batches
+far too small to gain from a second thread, and that second thread waits on a
+core where the server's BLAS pool still spins after its evaluation: on a
+2-core host this made socket rounds about 1.7x slower than in-process ones.
+The server's own BLAS is left as it is.  OpenBLAS splits a gemm's output, not
+its inner sums, between threads, so the records still match the in-process run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import os
 import socket
 import struct
 import time
@@ -43,6 +52,26 @@ from .wire import (
 )
 
 _SOCKET_TIMEOUT = 60.0
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Set the BLAS thread-count variables to "1" for a child started inside.
+
+    A spawned child copies ``os.environ`` when it starts and its BLAS reads
+    these variables once, when it loads; the caller's values come back after.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    try:
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def _encode_failure(client_id: int, iteration: int, message: str) -> bytes:
@@ -69,7 +98,7 @@ def _worker_main(host: str, port: int, cfg: FedConfig, model: ModelSpec,
                         cfg, model, partition, w_values, by_id[cid], round_index))
             except DivergedError as err:
                 send_frame(sock, _encode_failure(
-                    err.client_id or 0, err.iteration, str(err)))
+                    err.client_id, err.iteration, str(err)))
                 return
     finally:
         sock.close()
@@ -98,7 +127,12 @@ def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
     worker = ctx.Process(target=_worker_main,
                          args=(host, port, cfg, model, clients, state.partition),
                          daemon=True)
-    worker.start()
+    try:
+        with _single_threaded_blas():
+            worker.start()
+    except BaseException:
+        listener.close()
+        raise
 
     records: list[RoundRecord] = []
     try:

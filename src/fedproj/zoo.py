@@ -54,11 +54,16 @@ class ScalarGrads:
         return int(self.values.shape[0])
 
 
-def _check_finite(value: float, index: int | None, what: str) -> float:
-    value = float(value)
+def _finite_loss(loss_fn: LossFn, w: np.ndarray, index: int | None) -> float:
+    """``loss_fn(w)``; a non-finite loss or point raises with ``index``."""
+    try:
+        value, cause = float(loss_fn(w)), None
+    except NumericError as err:  # e.g. the model rejects non-finite parameters
+        value, cause = math.nan, err
     if not math.isfinite(value):
         where = "base point" if index is None else f"perturbation {index}"
-        raise NumericError(f"{what} returned non-finite value at {where}", index=index)
+        raise NumericError(f"loss evaluator returned non-finite value at {where}",
+                           index=index) from cause
     return value
 
 
@@ -66,11 +71,11 @@ def zo_scalar_grads(loss_fn: LossFn, w: np.ndarray, cfg: ZOConfig) -> ScalarGrad
     """Forward-difference scalars along K seeded directions: exactly K+1 loss calls."""
     w = np.asarray(getattr(w, "values", w), dtype=np.float64)
     d = w.shape[0]
-    base = _check_finite(loss_fn(w), None, "loss evaluator")
+    base = _finite_loss(loss_fn, w, None)
     vals = np.empty(cfg.num_perturbations, dtype=np.float64)
     for k in range(cfg.num_perturbations):
         v = sample_basis(cfg.seed, d, k).values.astype(np.float64)
-        shifted = _check_finite(loss_fn(w + cfg.epsilon * v), k, "loss evaluator")
+        shifted = _finite_loss(loss_fn, w + cfg.epsilon * v, k)
         vals[k] = (shifted - base) / cfg.epsilon
     return ScalarGrads(seed=cfg.seed, values=vals)
 
@@ -102,8 +107,8 @@ def fedkseed_local_step(w: np.ndarray, loss_fn: LossFn, cfg: ZOConfig,
     vals = np.empty(cfg.num_perturbations, dtype=np.float64)
     for k in range(cfg.num_perturbations):
         v = sample_basis(cfg.seed, d, k).values.astype(np.float64)
-        base = _check_finite(loss_fn(w), k, "loss evaluator")
-        shifted = _check_finite(loss_fn(w + cfg.epsilon * v), k, "loss evaluator")
+        base = _finite_loss(loss_fn, w, k)
+        shifted = _finite_loss(loss_fn, w + cfg.epsilon * v, k)
         g = (shifted - base) / cfg.epsilon
         vals[k] = g
         w -= (lr * g) * v

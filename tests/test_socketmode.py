@@ -1,11 +1,20 @@
 """The loopback TCP demo must replay the in-process records exactly."""
 
+import multiprocessing
+import os
+import types
+
 import numpy as np
 import pytest
 
 from fedproj.errors import DivergedError
-from fedproj.federation import FedConfig, partition_data, run_experiment
-from fedproj.models import ModelSpec, synthetic_regression
+from fedproj.federation import (
+    FedConfig,
+    partition_data,
+    run_experiment,
+    sample_clients,
+)
+from fedproj.models import ModelSpec, synthetic_classification, synthetic_regression
 from fedproj.socketmode import run_experiment_sockets
 
 
@@ -45,3 +54,85 @@ def test_socket_divergence_carries_client_context():
     assert err.value.round_index == 0
     assert err.value.client_id == 0
     assert err.value.iteration >= 1
+
+
+def mlp_task():
+    # batch 32 x 128 x 128 gemms are above OpenBLAS's single-thread cut-off,
+    # so the in-process side runs them on every core while the worker uses one
+    model = ModelSpec(kind="mlp", input_dim=128, output_dim=4, hidden_dim=128,
+                      init_seed=5)
+    data = synthetic_classification(240, 128, 4, seed=6)
+    clients = partition_data(data, 4, seed=7)
+    return model, data, clients
+
+
+@pytest.mark.parametrize("method, make_task", [
+    ("fedzo", task), ("fedkseed", task), ("subspace", mlp_task)])
+def test_socket_records_match_across_blas_thread_counts(method, make_task):
+    model, data, clients = make_task()
+    cfg = FedConfig(num_clients=4, rounds=2, local_iters=2, total_bases=16,
+                    local_lr=0.05, root_seed=11, batch_size=32,
+                    participation=0.6, method=method)
+    assert run_experiment(cfg, model, clients, data) == \
+        run_experiment_sockets(cfg, model, clients, data)
+
+
+@pytest.mark.parametrize("method", ["fedzo", "fedkseed"])
+def test_zeroth_order_divergence_is_the_same_on_both_transports(method):
+    model, data, clients = task()
+    cfg = FedConfig(num_clients=4, rounds=2, local_iters=3, total_bases=8,
+                    local_lr=1e200, root_seed=11, batch_size=32,
+                    participation=0.6, method=method)
+    with pytest.raises(DivergedError) as in_process:
+        run_experiment(cfg, model, clients, data)
+    with pytest.raises(DivergedError) as over_socket:
+        run_experiment_sockets(cfg, model, clients, data)
+    fields = [(type(e), str(e), e.round_index, e.client_id, e.iteration)
+              for e in (in_process.value, over_socket.value)]
+    assert fields[0] == fields[1]
+    # step 0 probes the finite global model; its 1e200-sized move makes the
+    # first client's loss overflow at step 1
+    assert fields[0][2:] == (0, sample_clients(cfg, 0)[0], 1)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """Records the BLAS variables at each spawned Process.start; can refuse it."""
+    record = types.SimpleNamespace(env=[], fail=False)
+    process_cls = multiprocessing.get_context("spawn").Process
+    start = process_cls.start
+
+    def recording_start(self):
+        record.env.append({name: os.environ.get(name) for name in BLAS_VARS})
+        if record.fail:
+            raise OSError("start refused")
+        start(self)
+
+    monkeypatch.setattr(process_cls, "start", recording_start)
+    return record
+
+
+@pytest.mark.parametrize("preset", [None, "4"])
+@pytest.mark.parametrize("fail", [False, True])
+def test_worker_starts_with_single_threaded_blas(monkeypatch, starts, preset,
+                                                 fail):
+    for name in BLAS_VARS:
+        if preset is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, preset)
+    starts.fail = fail
+    before = dict(os.environ)
+    model, data, clients = task()
+    cfg = FedConfig(num_clients=4, rounds=1, local_iters=1, total_bases=8,
+                    local_lr=0.05, root_seed=11, batch_size=32, method="fedavg")
+    if fail:
+        with pytest.raises(OSError, match="start refused"):
+            run_experiment_sockets(cfg, model, clients, data)
+    else:
+        assert len(run_experiment_sockets(cfg, model, clients, data)) == 1
+    assert starts.env == [dict.fromkeys(BLAS_VARS, "1")]
+    assert dict(os.environ) == before

@@ -179,3 +179,16 @@ def test_fedkseed_eval_count_is_two_per_step():
     cfg = ZOConfig(epsilon=1e-3, num_perturbations=9, seed=2)
     fedkseed_local_step(np.zeros(8), loss, cfg, lr=0.1)
     assert calls["n"] == 18
+
+
+def test_fedkseed_names_step_when_evaluator_rejects_point():
+    def loss(w):  # rejects non-finite points the way models.loss does
+        if not np.all(np.isfinite(w)):
+            raise NumericError("non-finite parameter values")
+        return 1e3 * float(w.sum())
+
+    cfg = ZOConfig(epsilon=1e-3, num_perturbations=4, seed=1)
+    with pytest.raises(NumericError) as err:  # step 0 overflows w to inf
+        fedkseed_local_step(np.ones(4), loss, cfg, lr=1e308)
+    assert err.value.index == 1
+    assert "perturbation 1" in str(err.value)
