@@ -11,7 +11,9 @@ where ``g_hat`` averages ``accum`` sampled micro-batches, all sampling driven
 by the package's own counter-based stream so runs are bit-reproducible.  It
 returns the final parameters together with the transmitted quantity
 ``delta = w_start - w_end``, accumulated directly so a single full-batch step
-yields ``delta == lr * grad`` without rounding detours.
+yields ``delta == lr * grad`` without rounding detours.  Steps and
+evaluations write into arrays they already own (the forward pass, the step,
+the iterate) instead of allocating parameter- or batch-sized temporaries.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ def _as_arrays(model: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
         y = np.asarray(y)
         if y.ndim != 1:
             raise ShapeMismatchError("class targets must be a flat index vector")
-        y = y.astype(np.int64)
+        y = y.astype(np.int64, copy=False)
         if y.min() < 0 or y.max() >= model.output_dim:
             raise ShapeMismatchError(
                 f"class index outside [0, {model.output_dim})")
@@ -257,8 +259,26 @@ def _views(model: ModelSpec, v: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    """Row-wise log-softmax, computed in place over the caller's ``z``."""
+    z -= z.max(axis=1, keepdims=True)
+    norm = np.exp(z).sum(axis=1, keepdims=True)
+    z -= np.log(norm, out=norm)
+    return z
+
+
+def _forward(model: ModelSpec, g: dict[str, np.ndarray],
+             x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(tanh hidden layer or None, outputs), both fresh arrays the caller owns."""
+    if model.kind != "mlp":
+        out = x @ g["w"]
+        out += g["b"]
+        return None, out
+    hidden = x @ g["w1"]
+    hidden += g["b1"]
+    np.tanh(hidden, out=hidden)
+    out = hidden @ g["w2"]
+    out += g["b2"]
+    return hidden, out
 
 
 def _loss_grad(model: ModelSpec, v: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -273,42 +293,39 @@ def _loss_grad_raw(model: ModelSpec, v: np.ndarray, x: np.ndarray, y: np.ndarray
                    want_grad: bool) -> tuple[float, np.ndarray | None]:
     n = x.shape[0]
     g = _views(model, v)
-    out = np.zeros_like(v) if want_grad else None
+    # every group slab is assigned whole below, so no zero fill is needed
+    out = np.empty_like(v) if want_grad else None
     go = _views(model, out) if want_grad else None
+    hidden, z = _forward(model, g, x)
 
     if model.kind == "linear-regression":
-        resid = x @ g["w"] + g["b"] - y  # (n, c)
-        loss = 0.5 * float((resid * resid).sum()) / n
+        z -= y  # the residual, (n, c)
+        loss = 0.5 * float((z * z).sum()) / n
         if want_grad:
-            go["w"][:] = x.T @ resid / n
-            go["b"][:] = resid.sum(axis=0) / n
+            go["w"][:] = x.T @ z / n
+            go["b"][:] = z.sum(axis=0) / n
         return loss, out
 
-    if model.kind == "logistic-regression":
-        logits = x @ g["w"] + g["b"]
-        ls = _log_softmax(logits)
-        loss = -float(ls[np.arange(n), y].sum()) / n
-        if want_grad:
-            gz = np.exp(ls)
-            gz[np.arange(n), y] -= 1.0
-            gz /= n
-            go["w"][:] = x.T @ gz
-            go["b"][:] = gz.sum(axis=0)
-        return loss, out
-
-    hidden = np.tanh(x @ g["w1"] + g["b1"])
-    logits = hidden @ g["w2"] + g["b2"]
-    ls = _log_softmax(logits)
+    ls = _log_softmax(z)
     loss = -float(ls[np.arange(n), y].sum()) / n
-    if want_grad:
-        gz = np.exp(ls)
-        gz[np.arange(n), y] -= 1.0
-        gz /= n
-        go["w2"][:] = hidden.T @ gz
-        go["b2"][:] = gz.sum(axis=0)
-        gh = (gz @ g["w2"].T) * (1.0 - hidden * hidden)
-        go["w1"][:] = x.T @ gh
-        go["b1"][:] = gh.sum(axis=0)
+    if not want_grad:
+        return loss, out
+    gz = np.exp(ls, out=ls)
+    gz[np.arange(n), y] -= 1.0
+    gz /= n
+    if model.kind == "logistic-regression":
+        go["w"][:] = x.T @ gz
+        go["b"][:] = gz.sum(axis=0)
+        return loss, out
+    go["w2"][:] = hidden.T @ gz
+    go["b2"][:] = gz.sum(axis=0)
+    # tanh' = 1 - hidden^2, formed over hidden once nothing else reads it
+    np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    gh = gz @ g["w2"].T
+    gh *= hidden
+    go["w1"][:] = x.T @ gh
+    go["b1"][:] = gh.sum(axis=0)
     return loss, out
 
 
@@ -337,13 +354,9 @@ def predict(model: ModelSpec, w, features: np.ndarray) -> np.ndarray:
     if x.shape[1] != model.input_dim:
         raise ShapeMismatchError(
             f"features have width {x.shape[1]}, model expects {model.input_dim}")
-    g = _views(model, v)
-    if model.kind == "linear-regression":
-        out = x @ g["w"] + g["b"]
-    elif model.kind == "logistic-regression":
-        out = np.argmax(x @ g["w"] + g["b"], axis=1)
-    else:
-        out = np.argmax(np.tanh(x @ g["w1"] + g["b1"]) @ g["w2"] + g["b2"], axis=1)
+    _, out = _forward(model, _views(model, v), x)
+    if model.kind != "linear-regression":
+        out = np.argmax(out, axis=1)
     return out[0] if squeeze else out
 
 
@@ -398,8 +411,7 @@ def local_sgd(model: ModelSpec, w: ParamVector, dataset: Dataset, iters: int,
 
     position = 0
     for t in range(iters):
-        ghat = np.zeros_like(v0)
-        for _ in range(accum):
+        for a in range(accum):
             if full_batch:
                 xb, yb = x_all, y_all
             else:
@@ -409,11 +421,15 @@ def local_sgd(model: ModelSpec, w: ParamVector, dataset: Dataset, iters: int,
             step_loss, gb = _loss_grad(model, cur, xb, yb, want_grad=True)
             if not math.isfinite(step_loss):
                 raise DivergedError("local loss became non-finite", iteration=t)
-            ghat += gb
-        ghat /= accum
+            if a == 0:
+                ghat = gb
+            else:
+                ghat += gb
+        if accum > 1:
+            ghat /= accum
 
         if optimizer == "sgd":
-            step = lr * ghat
+            step = np.multiply(ghat, lr, out=ghat)
         else:
             m1 = beta1 * m1 + (1.0 - beta1) * ghat
             m2 = beta2 * m2 + (1.0 - beta2) * ghat * ghat
@@ -422,8 +438,11 @@ def local_sgd(model: ModelSpec, w: ParamVector, dataset: Dataset, iters: int,
             step = lr * mhat / (np.sqrt(vhat) + eps)
         if not np.all(np.isfinite(step)):
             raise DivergedError("local step became non-finite", iteration=t)
+        # ghat starts as the first gradient, not as 0.0 + it, so it may hold
+        # -0.0; acc starts at +0.0 and a round-to-nearest sum is -0.0 only
+        # when both terms are, so acc and cur never see that sign
         acc += step
-        cur = v0 - acc
+        np.subtract(v0, acc, out=cur)
 
     return (ParamVector(values=cur, layout=model.layout),
             UpdateVector(values=acc))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import multiprocessing.connection
 import os
 import socket
 import struct
@@ -113,6 +114,22 @@ def _raise_failure(state: ExperimentState, body: bytes) -> None:
                         client_id=client_id)
 
 
+def _accept_worker(listener: socket.socket, worker) -> socket.socket:
+    """The worker's connection, or ProtocolError as soon as the worker dies."""
+    ready = multiprocessing.connection.wait([listener, worker.sentinel],
+                                            timeout=_SOCKET_TIMEOUT)
+    if listener in ready:
+        conn, _ = listener.accept()
+        conn.settimeout(_SOCKET_TIMEOUT)
+        return conn
+    if not ready:
+        raise ProtocolError(
+            f"worker did not connect within {_SOCKET_TIMEOUT:g} s")
+    worker.join()
+    raise ProtocolError(
+        f"worker exited with code {worker.exitcode} before connecting")
+
+
 def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
                            clients: list[ClientDataset],
                            eval_data: Dataset | None = None,
@@ -136,8 +153,7 @@ def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
 
     records: list[RoundRecord] = []
     try:
-        conn, _ = listener.accept()
-        conn.settimeout(_SOCKET_TIMEOUT)
+        conn = _accept_worker(listener, worker)
         try:
             for _ in range(cfg.rounds):
                 send_frame(conn, encode_round(state.round_index, state.w.values))

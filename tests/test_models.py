@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fedproj.models import (
     Example,
     ModelSpec,
     ParamVector,
+    _as_arrays,
     accuracy,
     grad,
     init_params,
@@ -417,6 +420,13 @@ def test_predict_and_accuracy():
         accuracy(lin, init_params(lin), ds)
 
 
+def test_class_targets_are_used_without_a_copy():
+    m = ModelSpec(kind="logistic-regression", input_dim=6, output_dim=3)
+    ds = synthetic_classification(40, 6, 3, seed=5)
+    x, y = _as_arrays(m, ds)
+    assert x is ds.features and y is ds.targets
+
+
 def test_predict_single_example_squeezes():
     m = ModelSpec(kind="linear-regression", input_dim=3, output_dim=1, init_seed=1)
     w = init_params(m)
@@ -427,3 +437,120 @@ def test_predict_single_example_squeezes():
 def test_example_type():
     e = Example(features=np.array([1.0, 2.0]), target=3)
     assert e.target == 3
+
+
+# ---------------------------------------------------------------- golden bits
+
+def _golden_task(name):
+    if name == "linear":
+        return (ModelSpec("linear-regression", 6, 2, init_seed=4),
+                synthetic_regression(40, 6, output_dim=2, seed=5))
+    if name == "logistic":
+        return (ModelSpec("logistic-regression", 6, 3, init_seed=4),
+                synthetic_classification(40, 6, 3, seed=5))
+    if name == "mlp":
+        return (ModelSpec("mlp", 6, 3, hidden_dim=5, init_seed=4),
+                synthetic_classification(40, 6, 3, seed=5))
+    # gemms large enough for the BLAS to split them between threads
+    return (ModelSpec("mlp", 64, 10, hidden_dim=48, init_seed=4),
+            synthetic_classification(96, 64, 10, seed=5))
+
+
+# sha256 of grad bytes + repr(loss) + predict bytes at the initial parameters,
+# frozen from the implementation that allocated a fresh array per operation
+_EVAL_DIGESTS = {
+    "linear": "49640df95106d90d82d541e4a1c4c008283fac6ac780b8b2a8bfdb649e78fafc",
+    "logistic": "81d7b1ef6f1b6d79e29b5e6e23bc1c95c81e7c81eaea36ae3b18641ffe217960",
+    "mlp": "d8aafeb586dc98064205477e398a6c388f88d592de3eee329987843097303758",
+    "mlp-wide": "58a461df87bc652eb4471d801cc1ec86baf903755373265ef059261507b9b768",
+}
+
+# sha256 of delta bytes + w_end bytes of local_sgd(iters=4, lr=0.1, rng=7),
+# frozen from the same implementation; "full" uses the whole dataset per step
+_SGD_DIGESTS = {
+    ("linear", "sgd", 1, "mini"): "d2544c2ba8d94aaa905c6371ad7f1c2c24d35b65b37051f3ac22dc4551c9f8b4",
+    ("linear", "sgd", 1, "full"): "f8634be5c2e51660e46cf3dccd48c7d49c2942ce044a38d62cf7c50706ae7028",
+    ("linear", "sgd", 3, "mini"): "ad589aecb8a85cb3585194439e0cc63325e123164f0a08668d060544c61d9ef8",
+    ("linear", "sgd", 3, "full"): "8a75578645212d296cf11f7b6c528aefa91bd4b3dcc7518491190596e3d1bfef",
+    ("linear", "adam", 1, "mini"): "53e6ce3779552ce80818c51ad0ff8ca26dedb61b6a9ac768b25d96511307f44a",
+    ("linear", "adam", 1, "full"): "c8a2c8da0250fb3a370b293ec1a763c4d7ae6ac31b76ee9fce5162fd6d9241ee",
+    ("linear", "adam", 3, "mini"): "018474bc07ad894d6781f5766057fb145fcf36749d8baf1cfa13a0927f442910",
+    ("linear", "adam", 3, "full"): "66b6210370a8ea5795547907ed17e54fe32f88c3438fda65700f13d4b354b138",
+    ("logistic", "sgd", 1, "mini"): "39c6796147ee987e00f6d597baac42510d175c99a08895361ab057c6c8ca5635",
+    ("logistic", "sgd", 1, "full"): "7749c4c9b04ff837f5eba0200f56a44a7e18fa78ce71dc8680db57254adc4cde",
+    ("logistic", "sgd", 3, "mini"): "e9ae3c45c991c6ceb0063ac3c9254f27ac98a0977826319fd92420a9614d413f",
+    ("logistic", "sgd", 3, "full"): "3f253ff76da45528390a55e74269ba8883fd3d81091df7f1ae3b83d7440477ce",
+    ("logistic", "adam", 1, "mini"): "b5743b7a8bef5e6f144aadd8dc7659f1b90269a68389f372a24acc70de36446a",
+    ("logistic", "adam", 1, "full"): "0bfd30c7dd4de36d330146991ad39233e2b0faab63266e13fe7e44925f01d69e",
+    ("logistic", "adam", 3, "mini"): "08a96c1d8a6ab683b7c06c8907be150c851f11f6c06eeb89bdf493980dbf1818",
+    ("logistic", "adam", 3, "full"): "0a626a930c57caf922be215320ece8189bbb277b83bbd4dd8765bbcca1859d69",
+    ("mlp", "sgd", 1, "mini"): "721dd6743bb8071ce6fdfa62a3afaa3a4f08b58e5f49edcc5f225593663900ee",
+    ("mlp", "sgd", 1, "full"): "7a737685723b13ff7b610f6103e45c64a4a067ef2ff36379041471328466a024",
+    ("mlp", "sgd", 3, "mini"): "49232b1822826a68efea3b8a1ff7a96e4c7c27d5c1d2f5fa83f5324b44f8c676",
+    ("mlp", "sgd", 3, "full"): "6499bd0abc52d6de125e5d55b77c5e728ece2428a285619108ab003c548998b0",
+    ("mlp", "adam", 1, "mini"): "2b199670ef430507393d438d5a73d54b477653f793b154925e42d8826d492a1a",
+    ("mlp", "adam", 1, "full"): "fd002a33b02f31b870c3ab207eb29a0086fbce95236a1c784f88af1674c9c355",
+    ("mlp", "adam", 3, "mini"): "9fbf0f86a187df1af574f1d8913d41dfc458ae38427a68b3b54b9e7dfb4f0df0",
+    ("mlp", "adam", 3, "full"): "3658a100fbb5cb1ec69658d88642d75496b54e163d692307b09ffca230a53069",
+    ("mlp-wide", "sgd", 1, "mini"): "eb9a845e436d35a557d959fbb3a89f887b3938d8b09deaf8619a422401d0025c",
+    ("mlp-wide", "sgd", 1, "full"): "6d593550ffa2eff1c22d8019961056a7c86943ba6d34c8a7fb7fe888b47636fe",
+    ("mlp-wide", "sgd", 3, "mini"): "3e06e59b8b05a28d12dc56ca147f3e7626f021cad452d3647a92194e014d5b6d",
+    ("mlp-wide", "sgd", 3, "full"): "82d7d403724958e52f07a544bf5bc9a87e933005bf8f1a767c6cd3444d0f9592",
+    ("mlp-wide", "adam", 1, "mini"): "7a1d73486ba0d8bf59705ff3fac49af73477a77dd331ab5fc50ca3305307b3b9",
+    ("mlp-wide", "adam", 1, "full"): "cd7663c26195837a03080612bba58d904bdf6c4286af0cba2ec84a795f0d408e",
+    ("mlp-wide", "adam", 3, "mini"): "33e1432a71ed36cbb0e14a902bf055617104c55074940db3fd64f6e5df1ac28d",
+    ("mlp-wide", "adam", 3, "full"): "527b349ad3332a61bdb20d58559229ae0eb998cdfebfbe55d167c809c1b6494e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EVAL_DIGESTS))
+def test_eval_golden_digest(name):
+    m, ds = _golden_task(name)
+    w = init_params(m)
+    h = hashlib.sha256(grad(m, w, ds).values.tobytes())
+    h.update(repr(loss(m, w, ds)).encode())
+    h.update(np.asarray(predict(m, w, ds.features)).tobytes())
+    assert h.hexdigest() == _EVAL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name,optimizer,accum,batch", sorted(_SGD_DIGESTS))
+def test_local_sgd_golden_digest(name, optimizer, accum, batch):
+    m, ds = _golden_task(name)
+    w_end, delta = local_sgd(m, init_params(m), ds, iters=4, lr=0.1,
+                             batch_size=8 if batch == "mini" else len(ds),
+                             accum=accum, rng=7, optimizer=optimizer)
+    digest = hashlib.sha256(delta.values.tobytes() + w_end.values.tobytes())
+    assert digest.hexdigest() == _SGD_DIGESTS[name, optimizer, accum, batch]
+
+
+# ---------------------------------------------------------------- temporaries
+
+def _traced_peak(fn) -> int:
+    fn()  # warm: lazy set-up inside numpy is not the call's own memory
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("call", ["local_sgd", "loss", "accuracy"])
+def test_training_and_evaluation_allocate_no_full_size_copies(call):
+    # the fedavg-sockets shape: d = 68,362, a 200-example shard, 5 steps of
+    # batch 32, and evaluation on 2000 x 256 features; a step or an evaluation
+    # that copies the parameters or the hidden layer a few extra times
+    # overshoots these bounds (7.3 d and 2.0 n*h doubles when it did)
+    m = ModelSpec(kind="mlp", input_dim=256, output_dim=10, hidden_dim=256,
+                  init_seed=1)
+    w = init_params(m)
+    if call == "local_sgd":
+        shard = synthetic_classification(200, 256, 10, seed=2)
+        peak = _traced_peak(lambda: local_sgd(m, w, shard, iters=5, lr=0.05,
+                                              batch_size=32, rng=4))
+        assert peak <= 6 * m.dim * 8
+    else:
+        held_out = synthetic_classification(2000, 256, 10, seed=3)
+        evaluate = loss if call == "loss" else accuracy
+        peak = _traced_peak(lambda: evaluate(m, w, held_out))
+        assert peak <= 1.25 * len(held_out) * m.hidden_dim * 8

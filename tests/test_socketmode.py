@@ -2,13 +2,15 @@
 
 import multiprocessing
 import os
+import time
 import types
 
 import numpy as np
 import pytest
 
-from fedproj.errors import DivergedError
+from fedproj.errors import DivergedError, ProtocolError
 from fedproj.federation import (
+    ClientDataset,
     FedConfig,
     partition_data,
     run_experiment,
@@ -54,6 +56,25 @@ def test_socket_divergence_carries_client_context():
     assert err.value.round_index == 0
     assert err.value.client_id == 0
     assert err.value.iteration >= 1
+
+
+class ExitingClient(ClientDataset):
+    """A client whose unpickling in the worker ends the worker with code 3."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
+def test_worker_that_dies_before_connecting_fails_fast():
+    model, data, clients = task()
+    clients = [ExitingClient(c.client_id, c.examples, c.skew_label)
+               for c in clients]
+    cfg = FedConfig(num_clients=4, rounds=1, local_iters=1, total_bases=8,
+                    local_lr=0.05, root_seed=11, batch_size=32, method="fedavg")
+    t0 = time.monotonic()
+    with pytest.raises(ProtocolError, match="exited with code 3"):
+        run_experiment_sockets(cfg, model, clients, data)
+    assert time.monotonic() - t0 < 10.0
 
 
 def mlp_task():
