@@ -15,6 +15,18 @@ core where the server's BLAS pool still spins after its evaluation: on a
 2-core host this made socket rounds about 1.7x slower than in-process ones.
 The server's own BLAS is left as it is.  OpenBLAS splits a gemm's output, not
 its inner sums, between threads, so the records still match the in-process run.
+
+The worker also keeps its heap for its one experiment.  By default glibc
+hands freed heap back to the kernel, so each client faulted the previous
+one's buffers back in: about 7,500 page faults (30 MB) a round for a
+256-256-10 MLP with 10 clients.  ``MALLOC_MMAP_THRESHOLD_`` at 32 MiB (the
+largest glibc takes on 64-bit) keeps the per-client arrays on the heap, and
+``MALLOC_TRIM_THRESHOLD_`` at 1 GiB stops glibc trimming it; setting either
+alone turns off glibc's adjustment of the other, and faults rise.  With both
+the worker faults almost nothing after its first round and keeps its peak
+heap until it exits.  Other C libraries ignore these variables, and no bit
+depends on the allocator.  Like the BLAS variables they are set only while
+the worker starts: the server's allocator belongs to the caller.
 """
 
 from __future__ import annotations
@@ -53,19 +65,27 @@ from .wire import (
 )
 
 _SOCKET_TIMEOUT = 60.0
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Environment the worker starts with; see the module docstring.
+_WORKER_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "MALLOC_MMAP_THRESHOLD_": str(32 * 1024 * 1024),
+    "MALLOC_TRIM_THRESHOLD_": str(1024 * 1024 * 1024),
+}
 
 
 @contextlib.contextmanager
-def _single_threaded_blas():
-    """Set the BLAS thread-count variables to "1" for a child started inside.
+def _worker_environment():
+    """Set ``_WORKER_ENV`` in ``os.environ`` for a child started inside.
 
-    A spawned child copies ``os.environ`` when it starts and its BLAS reads
-    these variables once, when it loads; the caller's values come back after.
+    A spawned child copies ``os.environ`` when it starts, and its BLAS and C
+    allocator read these variables once, when they load; the caller's values
+    (set or unset) come back after, whether the start succeeded or raised.
     """
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    saved = {name: os.environ.get(name) for name in _WORKER_ENV}
     try:
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        os.environ.update(_WORKER_ENV)
         yield
     finally:
         for name, value in saved.items():
@@ -145,7 +165,7 @@ def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
                          args=(host, port, cfg, model, clients, state.partition),
                          daemon=True)
     try:
-        with _single_threaded_blas():
+        with _worker_environment():
             worker.start()
     except BaseException:
         listener.close()

@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import platform
+import resource
 import time
 import types
 
@@ -116,18 +118,24 @@ def test_zeroth_order_divergence_is_the_same_on_both_transports(method):
     assert fields[0][2:] == (0, sample_clients(cfg, 0)[0], 1)
 
 
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+WORKER_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+    "MALLOC_MMAP_THRESHOLD_": "33554432",
+    "MALLOC_TRIM_THRESHOLD_": "1073741824",
+}
 
 
 @pytest.fixture
 def starts(monkeypatch):
-    """Records the BLAS variables at each spawned Process.start; can refuse it."""
+    """Records the worker variables at each spawned Process.start; can refuse it."""
     record = types.SimpleNamespace(env=[], fail=False)
     process_cls = multiprocessing.get_context("spawn").Process
     start = process_cls.start
 
     def recording_start(self):
-        record.env.append({name: os.environ.get(name) for name in BLAS_VARS})
+        record.env.append({name: os.environ.get(name) for name in WORKER_ENV})
         if record.fail:
             raise OSError("start refused")
         start(self)
@@ -138,9 +146,8 @@ def starts(monkeypatch):
 
 @pytest.mark.parametrize("preset", [None, "4"])
 @pytest.mark.parametrize("fail", [False, True])
-def test_worker_starts_with_single_threaded_blas(monkeypatch, starts, preset,
-                                                 fail):
-    for name in BLAS_VARS:
+def test_worker_starts_with_its_environment(monkeypatch, starts, preset, fail):
+    for name in WORKER_ENV:
         if preset is None:
             monkeypatch.delenv(name, raising=False)
         else:
@@ -155,5 +162,28 @@ def test_worker_starts_with_single_threaded_blas(monkeypatch, starts, preset,
             run_experiment_sockets(cfg, model, clients, data)
     else:
         assert len(run_experiment_sockets(cfg, model, clients, data)) == 1
-    assert starts.env == [dict.fromkeys(BLAS_VARS, "1")]
+    assert starts.env == [WORKER_ENV]
     assert dict(os.environ) == before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the worker's heap settings are glibc variables")
+def test_worker_keeps_its_heap_between_rounds():
+    # the fedavg-sockets shape: a 256-256-10 MLP, 10 clients, batch 32,
+    # 5 local iterations; with glibc's default trimming the worker faults
+    # about 7,500 pages back in every round
+    model = ModelSpec(kind="mlp", input_dim=256, output_dim=10, hidden_dim=256,
+                      init_seed=5)
+    clients = partition_data(synthetic_classification(1000, 256, 10, seed=6),
+                             10, seed=7)
+
+    def worker_faults(rounds):
+        cfg = FedConfig(num_clients=10, rounds=rounds, local_iters=5,
+                        total_bases=8, local_lr=0.05, root_seed=11,
+                        batch_size=32, method="fedavg")
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        run_experiment_sockets(cfg, model, clients)
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    short, long = worker_faults(2), worker_faults(10)
+    assert (long - short) / 8 < 1000, (short, long)
