@@ -6,6 +6,9 @@ pure function of ``(stream_seed, i)``, so chunks can be produced in any order,
 in parallel, or in tiles without changing a single bit of the output.
 ``basis_tile`` fills its output in cache-sized spans of ``_SPAN`` entries;
 every step is elementwise, so the span size changes no bit and no sum.
+``sample_basis`` serves each row from a cached group of consecutive rows of
+one stream family, at most one span and 16 rows, so a walk over k shares one
+``basis_tile`` call per group; for the same reason the grouping moves no bit.
 
 The entry distribution is a standard normal truncated to ``[-1/sqrt(d),
 +1/sqrt(d)]`` for a block of dimension ``d``, which bounds every chunk's
@@ -40,6 +43,10 @@ _TWO_NEG53 = 2.0 ** -53
 # generation span in entries: its float64 temporaries stay in L2, where
 # whole-tile temporaries stream through memory about 3x slower per entry
 _SPAN = 1 << 15
+
+# most rows in one sample_basis group: bounds a group miss on a tiny block to
+# 16 derive_subseed calls instead of _SPAN of them
+_GROUP_MAX_ROWS = 16
 
 # rho switches from the closed form to a cancellation-free series here
 _RHO_SERIES_MIN_DIM = 257
@@ -178,16 +185,37 @@ def _trunc_values_inplace(u: np.ndarray, dim: int, out: np.ndarray) -> None:
     out[...] = v  # float32 out rounds to nearest, as astype(np.float32) does
 
 
+# one entry: every walk in the package runs one stream family at a time.
+# typed, so a hit needs the argument types of an earlier call that succeeded,
+# and an ill-typed block or index still reaches basis_tile's own errors
+@lru_cache(maxsize=1, typed=True)
+def _row_group(seed: RandomSeed, block: int, block_dim: int,
+               k_lo: int, k_hi: int) -> np.ndarray:
+    """basis_tile(seed, block, block_dim, k_lo, k_hi), read-only."""
+    rows = basis_tile(seed, block, block_dim, k_lo, k_hi)
+    rows.flags.writeable = False
+    return rows
+
+
 def sample_basis(seed: RandomSeed, block_dim: int, basis_index: int,
                  block: int = 0) -> BasisChunk:
     """Regenerate the basis chunk for (seed, block, basis_index): one basis_tile row.
 
     The chunk's stream seed is derive_subseed(seed, 0, 0, block, basis_index),
-    so chunks of different blocks or basis indices never share a stream.
+    so chunks of different blocks or basis indices never share a stream.  The
+    row is copied out of a cached group of consecutive rows (at most one
+    generation span and 16 rows), so consecutive calls on one (seed, block,
+    block_dim) share one basis_tile call; the values are a fresh, writable
+    float32 array equal to basis_tile(seed, block, block_dim, k, k + 1)[0].
     """
-    values = basis_tile(seed, block, block_dim, basis_index, basis_index + 1)[0]
+    trunc_gauss_stats(block_dim)  # validates block_dim before any cache lookup
+    if basis_index < 0:
+        raise InvalidDimensionError("invalid basis index range")
+    rows = max(1, min(_GROUP_MAX_ROWS, _SPAN // block_dim))
+    k0 = basis_index - basis_index % rows
+    group = _row_group(int(seed) & MASK64, block, block_dim, k0, k0 + rows)
     return BasisChunk(seed=seed, basis_index=basis_index, block=block,
-                      values=values)
+                      values=group[basis_index - k0].copy())
 
 
 def basis_tile(seed: RandomSeed, block: int, block_dim: int,

@@ -68,3 +68,9 @@ def test_lane_2_is_per_client_and_round(policy):
         r = round_index if policy == "per-round" else 0
         want = randbasis.derive_subseed(9, client + 1, r + 1, int(block), int(lane))
         assert federation.projection_seed(cfg, round_index, client) == want
+
+
+def test_sample_basis_row_group():
+    rows, span = _stated(r"G = max\(1, min\((\d+), (\d+) // dim\)\)")
+    assert int(rows) == randbasis._GROUP_MAX_ROWS
+    assert int(span) == randbasis._SPAN

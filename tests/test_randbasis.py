@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fedproj import randbasis
 from fedproj.errors import InvalidDimensionError
 from fedproj.randbasis import (
     GAMMA,
@@ -236,11 +239,20 @@ def test_tile_scratch_memory_stays_span_sized():
 
 
 def test_parallel_generation_equals_serial():
-    dim, seed = 640, 2024
-    serial = [sample_basis(seed, dim, k).values for k in range(16)]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(lambda k: sample_basis(seed, dim, k).values,
-                                 range(16)))
+    # interleaved streams share sample_basis's row cache across threads; a short
+    # switch interval makes the threads trade places inside it
+    calls = [(2024, dim, k, block) for k in range(16)
+             for dim, block in ((640, 0), (2410, 1), (1, 2))]
+    serial = [sample_basis(seed, dim, k, block=block).values
+              for seed, dim, k, block in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            parallel = list(pool.map(
+                lambda c: sample_basis(c[0], c[1], c[2], block=c[3]).values, calls))
+    finally:
+        sys.setswitchinterval(interval)
     for a, b in zip(serial, parallel):
         assert np.array_equal(a, b)
 
@@ -273,7 +285,89 @@ def test_trunc_gauss_stream_respects_bound():
 
 
 def test_sample_basis_validation():
-    with pytest.raises(InvalidDimensionError):
-        sample_basis(1, 0, 0)
-    with pytest.raises(InvalidDimensionError):
-        sample_basis(1, 16, -1)
+    # the same errors on a cold and on a primed row cache: the primed group
+    # holds (seed, block 0, d = 2410) rows 0-12
+    seed = 0x5EED_0A11
+    for _ in range(2):
+        with pytest.raises(InvalidDimensionError):
+            sample_basis(seed, np.int64(2410), 1)
+        with pytest.raises(InvalidDimensionError):
+            sample_basis(seed, 0, 0)
+        with pytest.raises(InvalidDimensionError):
+            sample_basis(seed, 2410, -1)
+        sample_basis(seed, 2410, 0)
+
+
+# sample_basis row groups hold 16 rows up to d = 2048, then 32768 // d rows,
+# then one row
+_ROW_CACHE_DIMS = (1, 2, 2047, 2048, 2049, 2410, 32767, 32768, 32769)
+
+
+def _group_rows(dim: int) -> int:
+    return max(1, min(16, 32768 // dim))
+
+
+def _row_orders(dim: int) -> dict[str, list[int]]:
+    # K = 2G + 3 rows: no multiple of the group size G unless G = 1
+    k_total = 2 * _group_rows(dim) + 3
+    shuffled = list(range(k_total))
+    random.Random(dim).shuffle(shuffled)
+    return {"ascending": list(range(k_total)),
+            "descending": list(range(k_total - 1, -1, -1)),
+            "strided": list(range(0, k_total, 3)) + list(range(1, k_total, 3)),
+            "shuffled": shuffled}
+
+
+@pytest.mark.parametrize("dim", _ROW_CACHE_DIMS)
+def test_sample_basis_rows_equal_tile_rows_in_any_order(dim):
+    seed, block = 0xC0FFEE, 2
+    orders = _row_orders(dim)
+    want = [basis_tile(seed, block, dim, k, k + 1)[0] for k in orders["ascending"]]
+    for order in orders.values():
+        for k in order:
+            got = sample_basis(seed, dim, k, block=block).values
+            assert got.dtype == np.float32 and got.shape == (dim,)
+            np.testing.assert_array_equal(got, want[k])
+
+
+@pytest.mark.parametrize("dim", _ROW_CACHE_DIMS)
+def test_sample_basis_groups_hold_one_span_and_at_most_16_rows(dim, monkeypatch):
+    groups = []
+
+    def counting_tile(seed, block, block_dim, k_lo, k_hi):
+        groups.append((k_lo, k_hi))
+        return basis_tile(seed, block, block_dim, k_lo, k_hi)
+
+    monkeypatch.setattr(randbasis, "basis_tile", counting_tile)
+    rows = _group_rows(dim)
+    ks = _row_orders(dim)["ascending"]
+    for k in ks:
+        sample_basis(0xB10C, dim, k, block=5)
+    assert groups == [(k0, k0 + rows) for k0 in range(0, len(ks), rows)]
+
+
+def test_sample_basis_rows_equal_tile_rows_across_interleaved_streams():
+    # (seed, block, d): streams that share a seed, a block or both, and a
+    # seed given as its 64-bit two's complement
+    streams = [(3, 0, 1), (3, 1, 2047), (4, 0, 2049), (-1, 0, 32767),
+               (2**64 - 1, 0, 2410), (3, 0, 32769)]
+    walks = [(stream, _row_orders(stream[2])["strided"]) for stream in streams]
+    for step in range(max(len(order) for _, order in walks)):
+        for (seed, block, dim), order in walks:
+            if step < len(order):
+                k = order[step]
+                np.testing.assert_array_equal(
+                    sample_basis(seed, dim, k, block=block).values,
+                    basis_tile(seed, block, dim, k, k + 1)[0])
+
+
+def test_sample_basis_returns_independent_writable_rows():
+    seed, dim = 99, 2410
+    first = sample_basis(seed, dim, 3).values
+    assert first.flags.writeable and first.dtype == np.float32
+    first[:] = 7.0
+    again = sample_basis(seed, dim, 3).values
+    neighbour = sample_basis(seed, dim, 4).values
+    assert not np.shares_memory(again, first)
+    np.testing.assert_array_equal(again, basis_tile(seed, 0, dim, 3, 4)[0])
+    np.testing.assert_array_equal(neighbour, basis_tile(seed, 0, dim, 4, 5)[0])

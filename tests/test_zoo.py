@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedproj import randbasis
 from fedproj.errors import InvalidDimensionError, NumericError, ShapeMismatchError
 from fedproj.projection import BlockPartition, UpdateVector
 from fedproj.randbasis import basis_tile
@@ -192,3 +193,32 @@ def test_fedkseed_names_step_when_evaluator_rejects_point():
         fedkseed_local_step(np.ones(4), loss, cfg, lr=1e308)
     assert err.value.index == 1
     assert "perturbation 1" in str(err.value)
+
+
+def test_walks_generate_rows_in_span_sized_groups(monkeypatch):
+    # the fedkseed-mlp shape: d = 2,410 and K = 256; a 2^15-entry span holds
+    # 13 such rows, so each ascending walk takes ceil(256 / 13) = 20 tiles
+    d, k_total = 2410, 256
+    calls = []
+
+    def counting_tile(*args):
+        calls.append(args)
+        return basis_tile(*args)
+
+    monkeypatch.setattr(randbasis, "basis_tile", counting_tile)
+
+    def loss(w):
+        return 0.5 * float(w @ w)
+
+    def tiles(walk):
+        calls.clear()
+        result = walk()
+        assert len(calls) == 20
+        return result
+
+    w0 = np.linspace(-1.0, 1.0, d)
+    cfg = ZOConfig(epsilon=1e-3, num_perturbations=k_total, seed=0xFEDC5EED)
+    w_end, log = tiles(lambda: fedkseed_local_step(w0, loss, cfg, lr=0.05))
+    assert np.array_equal(tiles(lambda: replay_scalar_log(w0, log, lr=0.05)), w_end)
+    grads = tiles(lambda: zo_scalar_grads(loss, w0, cfg))
+    tiles(lambda: zo_reconstruct(grads, BlockPartition((d,), (k_total,))))
