@@ -42,6 +42,7 @@ from .models import (
     Example,
     ModelSpec,
     ParamVector,
+    _CheckedBatch,
     accuracy,
     init_params,
     local_sgd,
@@ -60,7 +61,7 @@ from .projection import (
 )
 from .randbasis import RandomSeed, derive_subseed, trunc_gauss_stats, uniform_stream
 from .wire import decode_client_update, decode_frame, encode_client_update
-from .zoo import ScalarGrads, ZOConfig, fedkseed_local_step, replay_scalar_log, zo_reconstruct, zo_scalar_grads
+from .zoo import LossFn, ScalarGrads, ZOConfig, fedkseed_local_step, replay_scalar_log, zo_reconstruct, zo_scalar_grads
 
 METHODS = ("subspace", "fedavg", "fedzo", "fedkseed")
 ALLOCATION_POLICIES = ("uniform", "norm-sqrt")
@@ -355,17 +356,30 @@ def _grad_evals_per_client(cfg: FedConfig) -> int:
     return 2 * cfg.total_bases  # fedkseed: base + probe per sequential step
 
 
+def _walk_loss(model: ModelSpec, data: Dataset) -> LossFn:
+    """One client walk's loss evaluator, ``v -> loss(model, v, data)``.
+
+    Its first call checks ``data`` in full, so a bad shard raises what it
+    always did, at the same step; later calls reuse the arrays that call
+    validated.  Parameters are still checked on every call: a step that
+    overflows them must fail at that step.
+    """
+    batch = _CheckedBatch(model, data)
+    return lambda v: loss(model, v, batch)
+
+
 def _zo_local_delta(cfg: FedConfig, model: ModelSpec, w_values: np.ndarray,
                     data: Dataset, zo_seed: RandomSeed) -> np.ndarray:
     """fedzo client: local_iters steps along zeroth-order gradient estimates."""
     part = BlockPartition.single(w_values.shape[0], 1)
     cur = w_values.copy()
+    loss_fn = _walk_loss(model, data)
     for t in range(cfg.local_iters):
         zcfg = ZOConfig(epsilon=cfg.zo_epsilon,
                         num_perturbations=cfg.total_bases,
                         seed=derive_subseed(zo_seed, round_index=t + 1))
         try:
-            grads = zo_scalar_grads(lambda v: loss(model, v, data), cur, zcfg)
+            grads = zo_scalar_grads(loss_fn, cur, zcfg)
         except NumericError as err:
             raise DivergedError(str(err), iteration=t) from err
         step = zo_reconstruct(grads, part).values
@@ -410,7 +424,7 @@ def client_update_frame(cfg: FedConfig, model: ModelSpec,
                                                  client.client_id))
             try:
                 _, payload = fedkseed_local_step(
-                    w_values, lambda v: loss(model, v, client.data), zcfg,
+                    w_values, _walk_loss(model, client.data), zcfg,
                     lr=cfg.local_lr)
             except NumericError as err:  # err.index is the sequential step
                 raise DivergedError(str(err), iteration=err.index) from err

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -127,7 +128,10 @@ class ModelSpec:
         if self.kind in ("logistic-regression", "mlp") and self.output_dim < 2:
             raise InvalidDimensionError("classification needs >= 2 classes")
 
-    @property
+    # layout, dim and the slab plan are derived from the fields once, on first
+    # use; they are cached outside the fields, so equality, hash and repr see
+    # the fields only, and __getstate__ keeps them out of pickles
+    @cached_property
     def layout(self) -> tuple[tuple[str, int, int], ...]:
         """Named (name, offset, size) parameter groups, contiguous from 0."""
         p, c, h = self.input_dim, self.output_dim, self.hidden_dim
@@ -141,7 +145,7 @@ class ModelSpec:
             off += size
         return tuple(out)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(size for _, _, size in self.layout)
 
@@ -149,6 +153,18 @@ class ModelSpec:
     def block_dims(self) -> tuple[int, ...]:
         """Group sizes in layout order; the natural partition boundaries."""
         return tuple(size for _, _, size in self.layout)
+
+    @cached_property
+    def _slabs(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+        """(name, start, stop, shape) of each group's view of a flat vector."""
+        p, c, h = self.input_dim, self.output_dim, self.hidden_dim
+        shapes = {"w": (p, c), "b": (c,), "w1": (p, h), "b1": (h,),
+                  "w2": (h, c), "b2": (c,)}
+        return tuple((name, off, off + size, shapes[name])
+                     for name, off, size in self.layout)
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def _fan_in(self, name: str) -> int:
         return {"w": self.input_dim, "w1": self.input_dim,
@@ -205,8 +221,29 @@ def init_params(model: ModelSpec) -> ParamVector:
 
 # ---------------------------------------------------------------- batches
 
+class _CheckedBatch:
+    """A batch whose (X, y) arrays ``_as_arrays`` validates once for ``model``.
+
+    The first ``_as_arrays(model, batch)`` checks ``batch.data`` as for any
+    batch and keeps the arrays; later calls return them unchanged.  A
+    zeroth-order walk evaluates the loss thousands of times on one shard, so
+    its evaluator passes one of these to every call.
+    """
+
+    __slots__ = ("model", "data", "arrays")
+
+    def __init__(self, model: ModelSpec, data):
+        self.model, self.data, self.arrays = model, data, None
+
+
 def _as_arrays(model: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
     """Coerce a Dataset or Example sequence to validated (X, y) arrays."""
+    if isinstance(batch, _CheckedBatch):
+        if batch.model is not model:
+            return _as_arrays(model, batch.data)
+        if batch.arrays is None:
+            batch.arrays = _as_arrays(model, batch.data)
+        return batch.arrays
     if isinstance(batch, Dataset):
         x, y = batch.features, batch.targets
     else:
@@ -245,17 +282,14 @@ def _check_params(model: ModelSpec, w) -> np.ndarray:
     v = np.asarray(getattr(w, "values", w), dtype=np.float64)
     if v.shape != (model.dim,):
         raise ShapeMismatchError(f"{v.shape} parameters, model expects ({model.dim},)")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericError("non-finite parameter values")
     return v
 
 
 def _views(model: ModelSpec, v: np.ndarray) -> dict[str, np.ndarray]:
-    p, c, h = model.input_dim, model.output_dim, model.hidden_dim
-    shapes = {"w": (p, c), "b": (c,), "w1": (p, h), "b1": (h,),
-              "w2": (h, c), "b2": (c,)}
-    return {name: v[off:off + size].reshape(shapes[name])
-            for name, off, size in model.layout}
+    return {name: v[start:stop].reshape(shape)
+            for name, start, stop, shape in model._slabs}
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

@@ -9,11 +9,16 @@ coordinate vector per block using the inversion-free rule
 and ``reconstruct`` regenerates the same bases from the embedded seed and
 returns ``sum_k gamma_k v_k`` per block, which is an unbiased estimate of the
 original update.  Bases are never materialized whole: both directions walk
-fixed-size row groups of chunks in ascending basis order, so results are
-bit-identical across runs and thread counts.  How ``basis_tile`` spans its
-generation changes no bit.  ``project`` is also independent of the row-group
-size; ``reconstruct`` sums per group, so its bits follow ``_TILE_ELEMS``, a
-frozen engine rule (PROTOCOL.md) rather than a wire rule.
+row groups of chunks in ascending basis order, so results are bit-identical
+across runs and thread counts.  How ``basis_tile`` spans its generation
+changes no bit.  ``project`` forms each coordinate as one full-row dot
+product, so it is free to take rows a generation span at a time;
+``reconstruct`` sums per group, so its bits follow ``_TILE_ELEMS``, a frozen
+engine rule (PROTOCOL.md) rather than a wire rule.  It converts and sums each
+group in column pieces of at most one span, which leaves every entry's
+ascending-k group sum as it was.  Each block's tile and conversion buffers
+are allocated once and reused by all its groups, so a call keeps no
+group-sized float64 temporary.
 
 ``exact_project`` is the reference route: it solves the block's normal
 equations outright and exists to cross-check the inversion-free rule.
@@ -35,6 +40,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .randbasis import (
+    _SPAN,
     RandomSeed,
     TruncGaussStats,
     basis_tile,
@@ -44,9 +50,9 @@ from .randbasis import (
 
 PROJECTION_VERSION = 1
 
-# row-group size in elements: project and reconstruct take max(1, this // d_l)
-# basis rows per basis_tile call.  Frozen: reconstruct's summation grouping,
-# and so its bits, follow it.  Generation spans are randbasis._SPAN.
+# reconstruct's row-group size in elements: it takes max(1, this // d_l) basis
+# rows per basis_tile call.  Frozen: its summation grouping, and so its bits,
+# follow it.  project takes max(1, _SPAN // d_l) rows, a free choice.
 _TILE_ELEMS = 1 << 19
 
 
@@ -180,19 +186,12 @@ class ProjectedUpdate:
         return sum(int(c.shape[0]) for c in self.block_coords)
 
 
-def _det_matvec(tile: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    # einsum with optimize=False runs a fixed-order single-threaded loop, so
-    # accumulation order never depends on the BLAS build or thread count
-    return np.einsum("kd,d->k", tile.astype(np.float64), vec, optimize=False)
+def _tile_rows(dim: int, elems: int) -> int:
+    return max(1, elems // max(dim, 1))
 
 
-def _det_vecmat(coeff: np.ndarray, tile: np.ndarray) -> np.ndarray:
-    return np.einsum("k,kd->d", coeff, tile.astype(np.float64), optimize=False)
-
-
-def _tile_rows(dim: int) -> int:
-    return max(1, _TILE_ELEMS // max(dim, 1))
-
+# einsum with optimize=False runs a fixed-order single-threaded loop, so the
+# sums in project and reconstruct never depend on the BLAS build or threads
 
 def project(update: UpdateVector, seed: RandomSeed) -> ProjectedUpdate:
     """Compress an update to (rho_l K_l)^-1 V_l^T delta_l per block."""
@@ -204,11 +203,14 @@ def project(update: UpdateVector, seed: RandomSeed) -> ProjectedUpdate:
         delta = update.block(l)
         scale = 1.0 / (part.stats[l].rho * k_l)
         gamma = np.empty(k_l, dtype=np.float64)
-        step = _tile_rows(d_l)
+        step = _tile_rows(d_l, _SPAN)
+        tile32 = np.empty((min(step, k_l), d_l), dtype=np.float32)
+        tile64 = np.empty(tile32.shape, dtype=np.float64)
         for k0 in range(0, k_l, step):
             k1 = min(k0 + step, k_l)
-            tile = basis_tile(seed, l, d_l, k0, k1)
-            gamma[k0:k1] = _det_matvec(tile, delta)
+            rows = tile64[:k1 - k0]
+            rows[...] = basis_tile(seed, l, d_l, k0, k1, out=tile32[:k1 - k0])
+            np.einsum("kd,d->k", rows, delta, out=gamma[k0:k1], optimize=False)
         # the 32-bit cast may overflow to inf for exploding updates; callers
         # that aggregate turn the resulting non-finite state into an abort
         with np.errstate(over="ignore"):
@@ -240,11 +242,23 @@ def reconstruct(msg: ProjectedUpdate, partition: BlockPartition) -> UpdateVector
         g64 = gamma.astype(np.float64)
         o = partition.offsets[l]
         acc = out[o:o + d_l]
-        step = _tile_rows(d_l)
-        for k0 in range(0, k_l, step):  # ascending basis order, fixed tiles
+        step = _tile_rows(d_l, _TILE_ELEMS)
+        tile32 = np.empty((min(step, k_l), d_l), dtype=np.float32)
+        # each column piece holds at most a span; at least two columns wide,
+        # since einsum sums a column that is contiguous in k in blocks, not
+        # in ascending k
+        cols = min(d_l, max(2, _SPAN // tile32.shape[0]))
+        piece64 = np.empty((tile32.shape[0], cols), dtype=np.float64)
+        psum = np.empty(cols, dtype=np.float64)
+        for k0 in range(0, k_l, step):  # ascending basis order, fixed groups
             k1 = min(k0 + step, k_l)
-            tile = basis_tile(msg.seed, l, d_l, k0, k1)
-            acc += _det_vecmat(g64[k0:k1], tile)
+            tile = basis_tile(msg.seed, l, d_l, k0, k1, out=tile32[:k1 - k0])
+            for c0 in range(0, d_l, cols):
+                c1 = min(c0 + cols, d_l)
+                piece = piece64[:k1 - k0, :c1 - c0]
+                piece[...] = tile[:, c0:c1]
+                acc[c0:c1] += np.einsum("k,kd->d", g64[k0:k1], piece,
+                                        out=psum[:c1 - c0], optimize=False)
     return UpdateVector(values=out, partition=partition)
 
 

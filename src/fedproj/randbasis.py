@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, ShapeMismatchError
 from .normal import SQRT2, _ppf_central_inplace, norm_ppf
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -219,19 +219,25 @@ def sample_basis(seed: RandomSeed, block_dim: int, basis_index: int,
 
 
 def basis_tile(seed: RandomSeed, block: int, block_dim: int,
-               k_lo: int, k_hi: int) -> np.ndarray:
+               k_lo: int, k_hi: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows k_lo..k_hi-1 of a block's basis as one (k_hi-k_lo, block_dim) float32 array.
 
     Row k uses the stream derive_subseed(seed, 0, 0, block, k); every row is a
     pure function of its own stream, so any split of the rows gives the same bits.
     The output is filled in spans of about _SPAN entries (a column range of one
-    row, or several whole rows), which keeps the temporaries cache-sized.
+    row, or several whole rows), which keeps the temporaries cache-sized.  With
+    ``out``, a float32 array of that shape, the rows are written there and
+    ``out`` is returned.
     """
     if not 0 <= k_lo <= k_hi:
         raise InvalidDimensionError("invalid basis index range")
     trunc_gauss_stats(block_dim)  # validates block_dim
     rows = k_hi - k_lo
-    out = np.empty((rows, block_dim), dtype=np.float32)
+    if out is None:
+        out = np.empty((rows, block_dim), dtype=np.float32)
+    elif out.shape != (rows, block_dim) or out.dtype != np.float32:
+        raise ShapeMismatchError(
+            f"out is {out.dtype}{out.shape}, rows need float32{(rows, block_dim)}")
     row_seeds = np.array(
         [derive_subseed(seed, 0, 0, block, k) for k in range(k_lo, k_hi)],
         dtype=np.uint64,

@@ -101,17 +101,23 @@ def fedkseed_local_step(w: np.ndarray, loss_fn: LossFn, cfg: ZOConfig,
     Step k probes the current iterate along direction k and immediately moves
     against the estimated slope.  Returns the new iterate plus the scalar log;
     replay_scalar_log applied to the same start reproduces it bit-exactly.
+    The iterate, the direction and the probe point each live in one buffer
+    for the whole walk, so ``loss_fn`` must not keep the arrays it is given.
     """
     w = np.asarray(getattr(w, "values", w), dtype=np.float64).copy()
     d = w.shape[0]
     vals = np.empty(cfg.num_perturbations, dtype=np.float64)
+    v = np.empty(d, dtype=np.float64)
+    probe = np.empty(d, dtype=np.float64)
     for k in range(cfg.num_perturbations):
-        v = sample_basis(cfg.seed, d, k).values.astype(np.float64)
+        v[...] = sample_basis(cfg.seed, d, k).values
         base = _finite_loss(loss_fn, w, k)
-        shifted = _finite_loss(loss_fn, w + cfg.epsilon * v, k)
+        np.multiply(v, cfg.epsilon, out=probe)
+        probe += w  # fl(eps * v) + w, the same sum as w + fl(eps * v)
+        shifted = _finite_loss(loss_fn, probe, k)
         g = (shifted - base) / cfg.epsilon
         vals[k] = g
-        w -= (lr * g) * v
+        w -= np.multiply(v, lr * g, out=probe)
     return w, ScalarGrads(seed=cfg.seed, values=vals)
 
 

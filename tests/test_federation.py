@@ -1,12 +1,17 @@
 """Round engines, data splits, client sampling, and cost accounting."""
 
+import platform
+import resource
+
 import numpy as np
 import pytest
 
+from fedproj import federation, models
 from fedproj.errors import (
     ConfigError,
     DivergedError,
     InvalidDimensionError,
+    NumericError,
     PartitionError,
 )
 from fedproj.federation import (
@@ -16,6 +21,7 @@ from fedproj.federation import (
     StreamRng,
     _local_rng,
     account_costs,
+    client_update_frame,
     partition_data,
     projection_seed,
     run_experiment,
@@ -587,3 +593,76 @@ class TestAccountCosts:
         assert totals["fedkseed"] == totals["subspace"]
         assert totals["fedzo"] == totals["fedavg"]
         assert totals["subspace"] < totals["fedavg"]
+
+
+class TestWalkEvaluator:
+
+    @pytest.mark.parametrize("method,iters,bases,calls", [
+        ("fedkseed", 1, 5, 2 * 5),          # 2K
+        ("fedzo", 3, 4, 3 * (4 + 1)),       # T (K + 1)
+    ])
+    def test_client_data_is_scanned_once_per_walk(self, monkeypatch, method,
+                                                  iters, bases, calls):
+        model, data = small_regression(input_dim=9, n=60)
+        clients = partition_data(data, 3, seed=4)
+        cfg = base_cfg(num_clients=3, local_iters=iters, total_bases=bases,
+                       method=method)
+        scans, losses = [], []
+        scan, evaluate = models._as_arrays, federation.loss
+
+        def counting_scan(m, batch):
+            scans.append(isinstance(batch, Dataset))
+            return scan(m, batch)
+
+        def counting_loss(*args):
+            losses.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(models, "_as_arrays", counting_scan)
+        monkeypatch.setattr(federation, "loss", counting_loss)
+        w = init_params(model).values
+        for client in clients:
+            scans.clear()
+            losses.clear()
+            client_update_frame(cfg, model, None, w, client, 0)
+            assert scans.count(True) == 1
+            assert len(losses) == calls
+
+    def test_parameters_are_checked_on_every_call(self):
+        # tanh(inf) is finite, so the MLP's loss alone would not notice a step
+        # that overflowed a first-layer weight
+        model = ModelSpec(kind="mlp", input_dim=4, output_dim=2, hidden_dim=3,
+                          init_seed=1)
+        data = synthetic_classification(30, 4, 2, seed=2)
+        loss_fn = federation._walk_loss(model, data)
+        w = init_params(model).values
+        assert loss_fn(w) == loss(model, w, data)
+        w[0] = np.inf
+        value, _ = models._loss_grad(model, w, data.features, data.targets,
+                                     want_grad=False)
+        assert np.isfinite(value)
+        with pytest.raises(NumericError, match="non-finite parameter values"):
+            loss_fn(w)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="counts the faults of glibc's heap handling")
+def test_subspace_round_keeps_its_heap_between_rounds():
+    # the subspace-mlp shape: a 256-256-10 MLP (blocks 65,536/256/2,560/10),
+    # K = 256, 2 of 10 clients a round; project and reconstruct that convert
+    # whole 2^19-entry row groups to float64 fault about 6,700 pages back in
+    # every round
+    model = ModelSpec(kind="mlp", input_dim=256, output_dim=10, hidden_dim=256,
+                      init_seed=7)
+    data = synthetic_classification(2000, 256, 10, seed=7)
+    clients = partition_data(data, 10, seed=7)
+    cfg = FedConfig(num_clients=10, rounds=0, local_iters=5, total_bases=256,
+                    local_lr=0.05, participation=0.2, root_seed=7)
+    state = setup_experiment(cfg, model, clients, data)
+    for _ in range(2):
+        run_round(state, clients, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        run_round(state, clients, cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 3 < 1000, faults

@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from fedproj import models
 from fedproj.errors import (
     ConfigError,
     DivergedError,
@@ -18,6 +21,7 @@ from fedproj.models import (
     ModelSpec,
     ParamVector,
     _as_arrays,
+    _CheckedBatch,
     accuracy,
     grad,
     init_params,
@@ -68,6 +72,37 @@ def test_layout_contiguous_and_sized():
     assert m.block_dims == (20, 4, 12, 3)
     lin = ModelSpec(kind="linear-regression", input_dim=7, output_dim=2)
     assert lin.layout == (("w", 0, 14), ("b", 14, 2))
+
+
+# sha256 of pickle.dumps(spec, protocol=4), frozen from the implementation
+# that recomputed the layout on every access
+_SPEC_PICKLES = {
+    ("mlp", 64, 10, 32, 5):
+        "9a663a7463a82f07c6359b8f3fe67773ecb18875a7ce56153c4454a6d74b2d65",
+    ("linear-regression", 3, 1, 0, 0):
+        "52541cada6b3121dfe339d154aaf53cf139c5a6eb0e15d71582a40a8a6766c24",
+}
+
+
+@pytest.mark.parametrize("fields", sorted(_SPEC_PICKLES))
+def test_spec_identity_ignores_its_cached_layout(fields):
+    used, fresh = ModelSpec(*fields), ModelSpec(*fields)
+    loss(used, init_params(used), synthetic_regression(4, used.input_dim, seed=1)
+         if used.kind == "linear-regression"
+         else synthetic_classification(4, used.input_dim, used.output_dim, seed=1))
+    assert [f.name for f in dataclasses.fields(ModelSpec)] == [
+        "kind", "input_dim", "output_dim", "hidden_dim", "init_seed"]
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == (
+        "ModelSpec(kind={!r}, input_dim={}, output_dim={}, hidden_dim={}, "
+        "init_seed={})".format(*fields))
+    for spec in (used, fresh):
+        blob = pickle.dumps(spec, protocol=4)
+        assert hashlib.sha256(blob).hexdigest() == _SPEC_PICKLES[fields]
+        back = pickle.loads(blob)
+        assert back == spec and back.layout == spec.layout and back.dim == spec.dim
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        used.input_dim = 2
 
 
 def test_param_vector_groups():
@@ -425,6 +460,38 @@ def test_class_targets_are_used_without_a_copy():
     ds = synthetic_classification(40, 6, 3, seed=5)
     x, y = _as_arrays(m, ds)
     assert x is ds.features and y is ds.targets
+
+
+def test_checked_batch_is_validated_once(monkeypatch):
+    m = ModelSpec(kind="logistic-regression", input_dim=6, output_dim=3)
+    ds = synthetic_classification(40, 6, 3, seed=5)
+    w = init_params(m)
+    scans = []
+    scan = models._as_arrays
+
+    def counting(model, batch):
+        scans.append(isinstance(batch, Dataset))
+        return scan(model, batch)
+
+    monkeypatch.setattr(models, "_as_arrays", counting)
+    batch = _CheckedBatch(m, ds)
+    assert [loss(m, w, batch) for _ in range(3)] == [loss(m, w, ds)] * 3
+    assert scans.count(True) == 2  # one for the checked batch, one for ds
+    # another model's call checks the data itself and keeps nothing
+    other = ModelSpec(kind="logistic-regression", input_dim=6, output_dim=3)
+    scans.clear()
+    loss(other, w, batch)
+    assert scans.count(True) == 1 and batch.arrays[0] is ds.features
+
+
+def test_checked_batch_raises_on_each_call_until_valid():
+    m = ModelSpec(kind="logistic-regression", input_dim=2, output_dim=2)
+    bad = Dataset(np.array([[0.0, np.nan]]), np.array([1]))
+    batch = _CheckedBatch(m, bad)
+    for _ in range(2):
+        with pytest.raises(NumericError, match="non-finite feature values"):
+            loss(m, init_params(m), batch)
+    assert batch.arrays is None
 
 
 def test_predict_single_example_squeezes():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from fedproj.projection import (
     project,
     reconstruct,
 )
-from fedproj.randbasis import basis_tile, trunc_gauss_stats
+from fedproj.randbasis import basis_tile, trunc_gauss_stats, trunc_gauss_stream
 
 
 def _gauss(seed: int, n: int) -> np.ndarray:
@@ -153,9 +154,58 @@ def test_project_bits_do_not_depend_on_tile_size(monkeypatch, dim, budget):
     # reaches project's sums; reconstruct's grouping does (PROTOCOL.md)
     u = UpdateVector(_gauss(21, dim), BlockPartition.single(dim, budget))
     want = project(u, seed=5).block_coords[0]
-    for tile in (1 << 12, 1 << 15):
-        monkeypatch.setattr(projection, "_TILE_ELEMS", tile)
+    for span in (1 << 12, 1 << 19):
+        monkeypatch.setattr(projection, "_SPAN", span)
         assert np.array_equal(project(u, seed=5).block_coords[0], want)
+
+
+@pytest.mark.parametrize("dim,budget", [(4096, 256), (1000, 64), (799, 82)])
+def test_reconstruct_bits_do_not_depend_on_column_pieces(monkeypatch, dim, budget):
+    # each entry's group sum runs over k in ascending order whatever the
+    # column piece holding it, a last piece one column wide included
+    part = BlockPartition.single(dim, budget)
+    msg = project(UpdateVector(_gauss(22, dim), part), seed=6)
+    want = reconstruct(msg, part).values
+    for span in (1 << 6, 1 << 8, 1 << 10, 1 << 17):
+        monkeypatch.setattr(projection, "_SPAN", span)
+        assert np.array_equal(reconstruct(msg, part).values, want)
+
+
+# sha256 of project's float32 coordinates, block by block, then reconstruct's
+# float64 output, for trunc_gauss_stream(31, d, bound=3.0) at seed 0x5EED0F00D;
+# frozen from the implementation that converted whole row groups to float64.
+# Budgets are not multiples of either row group, 799 = 2 * 399 + 1 leaves a
+# one-column last piece, and the rest are the subspace-mlp blocks
+_ROUNDTRIP_DIGESTS = {
+    ((1,), (1,)): "2c73d294cfc59a2125cd35c97643477ffec77c99cb89763a88d7ce2360d3a724",
+    ((10,), (7,)): "3a8bea116041e2067b4a2a7e08e3b903b1cc7298e1c9c38407e68bc164202983",
+    ((4095,), (141,)): "d73c328cec21d3461d80df06a4897ec4838105abcdd0ac279a434c62f72aa8ab",
+    ((4096,), (141,)): "168c4c2845e3b9872286aebb0d3f8d477bda44ee7d036945fdf4f882b3988b85",
+    ((4097,), (141,)): "bb72bc5998d938edaccc0e7e2cea7abe2c68348660ff15dad1bf20db1feb8b03",
+    ((32767,), (37,)): "9ed49b178971b673d1c0691ed785528a4467e859e6ba3170fe4048e1c191ab1e",
+    ((32768,), (37,)): "c01221558614a50df7a7a4a02bd908da4d4f85a225f0a0d7d254fb0bd267816f",
+    ((32769,), (37,)): "9d5e46fc17d4664e5467844c75a76d9f0169399968f9489fd42861f3a8979bb4",
+    ((65536,), (19,)): "a4207450ad21a2069392fe9a97339f04c1599260bf098d85622f06e70f832a51",
+    ((799,), (82,)): "db8ff1a49cae65cb24c5a386524e906fb3d1c112e1c37258828c193664a73dfb",
+    ((2560,), (82,)): "c838dd48d953e1ad913ecb8fd426f1e1a077103626bd3905161ecd0022bf5f1e",
+    ((256,), (82,)): "6b9b091a696feb8028798e042bf1bc6e37f682035179e5aea8bd5b82f40ca76a",
+    ((16384,), (32,)): "7929793bafc341b7b1cd518a89b189af9418ce1cf6c03ed1d3ea42b23849c063",
+    ((65536,), (8,)): "b00709a43cd5ac717f6843c55001170b12dd89a24803956917f2e72cb85be48c",
+    ((4097, 10, 1), (141, 7, 1)):
+        "d15dfd280bd3b75e1e2c5726b3deb8b353353b3fdb691cd13a7714cd98410cbd",
+}
+
+
+@pytest.mark.parametrize("dims,budgets", list(_ROUNDTRIP_DIGESTS))
+def test_roundtrip_golden_digest(dims, budgets):
+    part = BlockPartition(dims, budgets)
+    u = UpdateVector(trunc_gauss_stream(31, part.total_dim, bound=3.0), part)
+    msg = project(u, seed=0x5EED0F00D)
+    h = hashlib.sha256()
+    for coords in msg.block_coords:
+        h.update(coords.tobytes())
+    h.update(reconstruct(msg, part).values.tobytes())
+    assert h.hexdigest() == _ROUNDTRIP_DIGESTS[dims, budgets]
 
 
 @pytest.mark.parametrize("dim,budget", [(4096, 256), (1000, 64), (65536, 8)])

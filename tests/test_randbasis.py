@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fedproj import randbasis
-from fedproj.errors import InvalidDimensionError
+from fedproj.errors import InvalidDimensionError, ShapeMismatchError
 from fedproj.randbasis import (
     GAMMA,
     MASK64,
@@ -223,6 +223,22 @@ def test_tile_golden_digest(dim, rows):
     tile = basis_tile(0x1234ABCD5678EF01, 3, dim, 17, 17 + rows)
     assert tile.shape == (rows, dim) and tile.dtype == np.float32
     assert hashlib.sha256(tile.tobytes()).hexdigest() == _TILE_DIGESTS[dim, rows]
+
+
+@pytest.mark.parametrize("dim,rows", [(2410, 13), (40000, 1), (10, 7)])
+def test_tile_into_out_equals_fresh_tile(dim, rows):
+    buf = np.full((rows + 2, dim), np.nan, dtype=np.float32)
+    got = basis_tile(77, 1, dim, 5, 5 + rows, out=buf[1:rows + 1])
+    assert got.base is buf
+    assert np.array_equal(got, basis_tile(77, 1, dim, 5, 5 + rows))
+    assert np.isnan(buf[0]).all() and np.isnan(buf[-1]).all()
+
+
+@pytest.mark.parametrize("shape,dtype", [((3, 10), np.float64), ((2, 10), np.float32),
+                                         ((3, 11), np.float32)])
+def test_tile_rejects_an_out_of_another_shape_or_type(shape, dtype):
+    with pytest.raises(ShapeMismatchError):
+        basis_tile(77, 1, 10, 0, 3, out=np.empty(shape, dtype=dtype))
 
 
 def test_tile_scratch_memory_stays_span_sized():

@@ -10,7 +10,12 @@ import types
 import numpy as np
 import pytest
 
-from fedproj.errors import DivergedError, ProtocolError
+from fedproj.errors import (
+    DivergedError,
+    FedprojError,
+    ProtocolError,
+    ShapeMismatchError,
+)
 from fedproj.federation import (
     ClientDataset,
     FedConfig,
@@ -18,7 +23,12 @@ from fedproj.federation import (
     run_experiment,
     sample_clients,
 )
-from fedproj.models import ModelSpec, synthetic_classification, synthetic_regression
+from fedproj.models import (
+    Example,
+    ModelSpec,
+    synthetic_classification,
+    synthetic_regression,
+)
 from fedproj.socketmode import run_experiment_sockets
 
 
@@ -116,6 +126,55 @@ def test_zeroth_order_divergence_is_the_same_on_both_transports(method):
     # step 0 probes the finite global model; its 1e200-sized move makes the
     # first client's loss overflow at step 1
     assert fields[0][2:] == (0, sample_clients(cfg, 0)[0], 1)
+
+
+def defective_shard_task(defect):
+    """Three clients; client 1's fifth example has a NaN feature or class 3 of 3."""
+    model = ModelSpec("logistic-regression", 6, 3, init_seed=1)
+    data = synthetic_classification(60, 6, 3, seed=2)
+    clients = partition_data(data, 3, seed=3)
+    examples = list(clients[1].examples)
+    bad = examples[4]
+    if defect == "nan-feature":
+        features = bad.features.copy()
+        features[2] = np.nan
+        examples[4] = Example(features, bad.target)
+    else:
+        examples[4] = Example(bad.features, 3)
+    clients[1] = ClientDataset(1, examples, clients[1].skew_label)
+    return model, data, clients
+
+
+# (type, message, round, client, iteration) raised by the first loss call of
+# the defective shard's walk, in process and then over sockets, where a worker
+# that raises anything but DivergedError dies and the server sees its closed
+# connection (ROADMAP item 4)
+_NAN = "loss evaluator returned non-finite value at {}"
+_CLASS = "class index outside [0, 3)"
+_CLOSED = "connection closed 4 bytes early"
+_SHARD_ERRORS = {
+    ("fedzo", "nan-feature"): [(DivergedError, _NAN.format("base point"), 0, 1, 0)] * 2,
+    ("fedkseed", "nan-feature"): [(DivergedError, _NAN.format("perturbation 0"), 0, 1, 0)] * 2,
+    ("fedzo", "class-index"): [(ShapeMismatchError, _CLASS, None, None, None),
+                               (ProtocolError, _CLOSED, None, None, None)],
+    ("fedkseed", "class-index"): [(ShapeMismatchError, _CLASS, None, None, None),
+                                  (ProtocolError, _CLOSED, None, None, None)],
+}
+
+
+@pytest.mark.parametrize("method,defect", sorted(_SHARD_ERRORS))
+def test_defective_shard_fails_at_the_first_loss_call(method, defect):
+    model, data, clients = defective_shard_task(defect)
+    cfg = FedConfig(num_clients=3, rounds=2, local_iters=2, total_bases=4,
+                    local_lr=0.05, root_seed=11, method=method)
+    got = []
+    for run in (run_experiment, run_experiment_sockets):
+        with pytest.raises(FedprojError) as err:
+            run(cfg, model, clients, data)
+        e = err.value
+        got.append((type(e), str(e), getattr(e, "round_index", None),
+                    getattr(e, "client_id", None), getattr(e, "iteration", None)))
+    assert got == _SHARD_ERRORS[method, defect]
 
 
 WORKER_ENV = {
