@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .errors import (
 )
 from .models import (
     Dataset,
-    Example,
     ModelSpec,
     ParamVector,
     _CheckedBatch,
@@ -54,6 +52,7 @@ from .projection import (
     ProjectedUpdate,
     UpdateVector,
     _even_split,
+    _largest_remainder,
     allocate_budgets,
     exact_project,
     project,
@@ -131,17 +130,12 @@ class ClientDataset:
     """One client's shard plus a human-readable skew descriptor."""
 
     client_id: int
-    examples: list[Example]
+    data: Dataset
     skew_label: str = "iid"
 
     def __post_init__(self):
-        if len(self.examples) == 0:
+        if len(self.data) == 0:
             raise PartitionError(f"client {self.client_id} received no examples")
-
-    @cached_property
-    def data(self) -> Dataset:
-        classification = isinstance(self.examples[0].target, (int, np.integer))
-        return Dataset.from_examples(self.examples, classification=classification)
 
 
 @dataclass(frozen=True)
@@ -250,24 +244,15 @@ def _parse_skew(skew: str) -> tuple[str, float]:
         f"unknown skew {skew!r}; use 'iid' or 'label-skew(alpha)'")
 
 
-def _largest_remainder_counts(total: int, props: np.ndarray) -> np.ndarray:
-    quota = total * props
-    base = np.floor(quota).astype(np.int64)
-    short = total - int(base.sum())
-    order = np.lexsort((np.arange(len(props)), -(quota - base)))
-    base[order[:short]] += 1
-    return base
-
-
-def _skewed_split(examples: list[Example], targets: np.ndarray, n_clients: int,
+def _skewed_split(n: int, targets: np.ndarray, n_clients: int,
                   alpha: float, rng: StreamRng) -> list[list[int]] | None:
     classes = np.unique(targets)
     pools = {c: list(np.flatnonzero(targets == c)) for c in classes}
-    sizes = _even_split(len(examples), n_clients)
+    sizes = _even_split(n, n_clients)
     shards: list[list[int]] = []
     for i in range(n_clients):
         props = rng.dirichlet(alpha, len(classes))
-        want = _largest_remainder_counts(sizes[i], props)
+        want = _largest_remainder(sizes[i], sizes[i] * props)
         shard: list[int] = []
         for c, count in zip(classes, want):
             take = min(int(count), len(pools[c]))
@@ -284,32 +269,32 @@ def _skewed_split(examples: list[Example], targets: np.ndarray, n_clients: int,
     return shards
 
 
-def partition_data(full, num_clients: int, skew: str = "iid",
+def partition_data(full: Dataset, num_clients: int, skew: str = "iid",
                    seed: RandomSeed = 0) -> list[ClientDataset]:
     """Split examples over clients: uniform, or Dirichlet(alpha) label skew."""
-    examples = full.examples() if isinstance(full, Dataset) else list(full)
+    n = len(full)
     if num_clients < 1:
         raise PartitionError("need at least one client")
-    if len(examples) < num_clients:
-        raise PartitionError(
-            f"{len(examples)} examples cannot cover {num_clients} clients")
+    if n < num_clients:
+        raise PartitionError(f"{n} examples cannot cover {num_clients} clients")
     kind, alpha = _parse_skew(skew)
 
     if kind == "iid" or num_clients == 1:
         rng = StreamRng(derive_subseed(seed, basis_index=_IDX_DATA))
-        order = rng.shuffled(len(examples))
+        order = rng.shuffled(n)
         shards, at = [], 0
-        for size in _even_split(len(examples), num_clients):
+        for size in _even_split(n, num_clients):
             shards.append([int(i) for i in order[at:at + size]])
             at += size
         label = "iid" if kind == "iid" else skew
     else:
-        targets = np.array([e.target for e in examples])
+        if full.targets.ndim != 1:
+            raise PartitionError("label skew needs a single target column")
         shards = None
         for attempt in range(_MAX_SKEW_ATTEMPTS):
             rng = StreamRng(derive_subseed(seed, round_index=attempt,
                                            basis_index=_IDX_DATA))
-            shards = _skewed_split(examples, targets, num_clients, alpha, rng)
+            shards = _skewed_split(n, full.targets, num_clients, alpha, rng)
             if shards is not None:
                 break
         if shards is None:
@@ -317,9 +302,7 @@ def partition_data(full, num_clients: int, skew: str = "iid",
                 f"could not build a non-empty label-skew({alpha}) split")
         label = skew
 
-    return [ClientDataset(client_id=i,
-                          examples=[examples[j] for j in shard],
-                          skew_label=label)
+    return [ClientDataset(client_id=i, data=full.take(shard), skew_label=label)
             for i, shard in enumerate(shards)]
 
 
@@ -592,9 +575,8 @@ def setup_experiment(cfg: FedConfig, model: ModelSpec,
             f"config expects {cfg.num_clients} clients, got {len(clients)}")
     w = init_params(model)
     if eval_data is None:
-        eval_data = Dataset.from_examples(
-            [e for c in clients for e in c.examples],
-            classification=model.kind != "linear-regression")
+        eval_data = Dataset(np.concatenate([c.data.features for c in clients]),
+                            np.concatenate([c.data.targets for c in clients]))
     partition = None
     if cfg.method == "subspace":
         norms = None
@@ -612,14 +594,7 @@ def run_experiment(cfg: FedConfig, model: ModelSpec,
     state = setup_experiment(cfg, model, clients, eval_data)
     records = []
     for _ in range(cfg.rounds):
-        try:
-            _, record, _ = run_round(state, clients, cfg)
-        except DivergedError as err:
-            raise DivergedError(
-                str(err), iteration=err.iteration,
-                round_index=err.round_index if err.round_index is not None
-                else state.round_index,
-                client_id=err.client_id) from err
+        _, record, _ = run_round(state, clients, cfg)
         records.append(record)
     return records
 

@@ -22,7 +22,6 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -41,14 +40,6 @@ OPTIMIZERS = ("sgd", "adam")
 
 # data values are drawn from a standard normal truncated this many sigmas out
 _DATA_TRUNC = 3.0
-
-
-@dataclass(frozen=True)
-class Example:
-    """One observation: feature vector plus a scalar target (or class index)."""
-
-    features: np.ndarray
-    target: float
 
 
 @dataclass(frozen=True)
@@ -87,21 +78,6 @@ class Dataset:
 
     def take(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.features[indices], self.targets[indices])
-
-    def examples(self) -> list[Example]:
-        return [Example(self.features[i], self.targets[i].item())
-                for i in range(len(self))]
-
-    @classmethod
-    def from_examples(cls, examples: Sequence[Example],
-                      classification: bool = False) -> "Dataset":
-        if len(examples) == 0:
-            raise InvalidDimensionError("empty example list")
-        x = np.stack([np.asarray(e.features, dtype=np.float64) for e in examples])
-        t = np.array([e.target for e in examples])
-        if classification:
-            t = t.astype(np.int64)
-        return cls(x, t)
 
 
 @dataclass(frozen=True)
@@ -237,27 +213,19 @@ class _CheckedBatch:
 
 
 def _as_arrays(model: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce a Dataset or Example sequence to validated (X, y) arrays."""
+    """A Dataset's (X, y) arrays, validated against ``model``."""
     if isinstance(batch, _CheckedBatch):
         if batch.model is not model:
             return _as_arrays(model, batch.data)
         if batch.arrays is None:
             batch.arrays = _as_arrays(model, batch.data)
         return batch.arrays
-    if isinstance(batch, Dataset):
-        x, y = batch.features, batch.targets
-    else:
-        examples = list(batch)
-        if len(examples) == 0:
-            raise InvalidDimensionError("empty batch")
-        x = np.stack([np.asarray(e.features, dtype=np.float64) for e in examples])
-        y = np.array([e.target for e in examples])
+    x, y = batch.features, batch.targets
     if x.shape[0] == 0:
         raise InvalidDimensionError("empty batch")
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
+    if x.shape[1] != model.input_dim:
         raise ShapeMismatchError(
-            f"features have width {x.shape[-1] if x.ndim else 0}, "
-            f"model expects {model.input_dim}")
+            f"features have width {x.shape[1]}, model expects {model.input_dim}")
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite feature values")
     if model.kind == "linear-regression":

@@ -284,14 +284,16 @@ def exact_project(update: UpdateVector, seed: RandomSeed) -> ProjectedUpdate:
                            block_coords=tuple(coords))
 
 
-def _largest_remainder(total: int, weights: np.ndarray) -> np.ndarray:
-    """Integer split of `total` proportional to `weights` (ties to lower index)."""
-    quotas = total * weights / weights.sum()
+def _largest_remainder(total: int, quotas: np.ndarray) -> np.ndarray:
+    """Round real `quotas` of `total` to integers summing to it.
+
+    Floors every quota, then hands the units left over to the largest
+    remainders (ties to the lower index).
+    """
     base = np.floor(quotas).astype(np.int64)
     left = total - int(base.sum())
     if left > 0:
-        rema = quotas - base
-        order = np.lexsort((np.arange(len(weights)), -rema))
+        order = np.lexsort((np.arange(len(quotas)), -(quotas - base)))
         base[order[:left]] += 1
     return base
 
@@ -329,7 +331,8 @@ def allocate_budgets(block_norms, block_stats, total_budget: int) -> tuple[int, 
         w = weights[free]
         if w.sum() == 0.0 or remaining < 0:
             w = np.ones(int(free.sum()))
-        alloc[free] = _largest_remainder(max(remaining, 0), w)
+        remaining = max(remaining, 0)
+        alloc[free] = _largest_remainder(remaining, remaining * w / w.sum())
         low = free & (alloc < 1)
         high = free & (alloc > dims)
         if not low.any() and not high.any():

@@ -89,6 +89,7 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _counters(n: int) -> np.ndarray:
+    """Read-only counters (i+1)*GAMMA, i < n; basis_tile adds each row seed."""
     c = (np.arange(1, n + 1, dtype=np.uint64) * _GAMMA_U)
     c.flags.writeable = False
     return c
@@ -98,11 +99,9 @@ def uniform_stream(seed: RandomSeed, n: int, start: int = 0) -> np.ndarray:
     """n doubles in [0, 1): counter-based, value i depends only on (seed, start+i)."""
     if n < 0:
         raise InvalidDimensionError("stream length must be non-negative")
-    if start == 0:
-        state = _counters(n) + _U(seed & MASK64)
-    else:
-        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        state = idx * _GAMMA_U + _U(seed & MASK64)
+    state = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    state *= _GAMMA_U
+    state += _U(seed & MASK64)
     z = _mix64_array(state)
     return (z >> _U(11)).astype(np.float64) * _TWO_NEG53
 

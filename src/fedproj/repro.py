@@ -196,8 +196,7 @@ def rounds_curve(rounds: int = 30, seed: RandomSeed = 21) -> Series:
     model = ModelSpec(kind="linear-regression", input_dim=15, output_dim=1,
                       init_seed=3)
     data = synthetic_regression(256, 15, seed=9, noise_std=0.1)
-    examples = data.examples()
-    clients = [ClientDataset(i, examples, "homogeneous") for i in range(4)]
+    clients = [ClientDataset(i, data, "homogeneous") for i in range(4)]
     columns = ["round"]
     per_method = []
     for method in ("subspace", "fedavg", "fedzo", "fedkseed"):

@@ -310,8 +310,7 @@ def _convergence_task():
     # difference between methods is how the local update travels
     model = ModelSpec("linear-regression", input_dim=63, output_dim=1, init_seed=3)
     data = synthetic_regression(n=512, input_dim=63, seed=9)
-    examples = data.examples()
-    clients = [ClientDataset(i, examples, "homogeneous") for i in range(8)]
+    clients = [ClientDataset(i, data, "homogeneous") for i in range(8)]
     return model, data, clients
 
 

@@ -61,6 +61,14 @@ class TestRun:
         assert (tmp_path / "records.csv").read_text() \
             == ",".join(RECORD_COLUMNS) + "\n"
 
+    def test_multi_output_regression_trains(self, tmp_path):
+        cfg = base_config(tmp_path)
+        cfg["model"]["output_dim"] = 2
+        cfg["data"]["output_dim"] = 2
+        assert main(["run", dump(tmp_path, cfg)]) == 0
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        assert len(lines) == 1 + cfg["federation"]["rounds"]
+
     def test_malformed_json_exits_2_with_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "model": oops\n}')

@@ -1,5 +1,6 @@
 """Round engines, data splits, client sampling, and cost accounting."""
 
+import hashlib
 import platform
 import resource
 
@@ -133,21 +134,21 @@ class TestStreamRng:
 class TestPartitionData:
     def test_single_client_gets_everything(self):
         _, data = small_regression(n=37)
-        examples = data.examples()
-        (client,) = partition_data(examples, 1, "iid", seed=4)
-        assert len(client.examples) == 37
-        assert {id(e) for e in client.examples} == {id(e) for e in examples}
+        (client,) = partition_data(data, 1, "iid", seed=4)
+        assert len(client.data) == 37
+        assert sorted(row.tobytes() for row in client.data.features) == \
+            sorted(row.tobytes() for row in data.features)
 
     def test_iid_sizes_are_uniform(self):
         data = synthetic_regression(1000, 3, seed=0)
         clients = partition_data(data, 10, "iid", seed=1)
-        assert [len(c.examples) for c in clients] == [100] * 10
-        seen = {id(e) for c in clients for e in c.examples}
+        assert [len(c.data) for c in clients] == [100] * 10
+        seen = {row.tobytes() for c in clients for row in c.data.features}
         assert len(seen) == 1000
 
     def test_iid_sizes_differ_by_at_most_one(self):
         data = synthetic_regression(103, 3, seed=0)
-        sizes = [len(c.examples) for c in partition_data(data, 4, "iid", seed=1)]
+        sizes = [len(c.data) for c in partition_data(data, 4, "iid", seed=1)]
         assert sizes == [26, 26, 26, 25]
 
     def test_deterministic_in_seed(self):
@@ -155,8 +156,7 @@ class TestPartitionData:
         a = partition_data(data, 5, "iid", seed=8)
         b = partition_data(data, 5, "iid", seed=8)
         c = partition_data(data, 5, "iid", seed=9)
-        key = lambda clients: [[e.features.tobytes() for e in cl.examples]
-                               for cl in clients]
+        key = lambda clients: [cl.data.features.tobytes() for cl in clients]
         assert key(a) == key(b)
         assert key(a) != key(c)
 
@@ -167,18 +167,17 @@ class TestPartitionData:
         for seed in range(100):
             clients = partition_data(data, 6, "label-skew(0.1)", seed=seed)
             for c in clients:
-                targets = np.array([e.target for e in c.examples])
-                counts = np.bincount(targets, minlength=3)
-                shares.append(counts.max() / len(targets))
-                assert len(c.examples) == 100
+                counts = np.bincount(c.data.targets, minlength=3)
+                shares.append(counts.max() / len(c.data))
+                assert len(c.data) == 100
         assert np.mean(shares) > 0.6
 
     def test_label_skew_deterministic(self):
         data = synthetic_classification(120, 4, 3, seed=1)
         a = partition_data(data, 4, "label-skew(0.5)", seed=3)
         b = partition_data(data, 4, "label-skew(0.5)", seed=3)
-        assert [[e.features.tobytes() for e in cl.examples] for cl in a] == \
-               [[e.features.tobytes() for e in cl.examples] for cl in b]
+        assert [cl.data.features.tobytes() for cl in a] == \
+               [cl.data.features.tobytes() for cl in b]
         assert all(c.skew_label == "label-skew(0.5)" for c in a)
 
     def test_more_clients_than_examples_fails(self):
@@ -196,7 +195,8 @@ class TestPartitionData:
 
     def test_client_dataset_rejects_empty(self):
         with pytest.raises(PartitionError):
-            ClientDataset(client_id=0, examples=[])
+            ClientDataset(client_id=0, data=Dataset(np.zeros((0, 3)),
+                                                    np.zeros(0)))
 
     def test_client_data_infers_task_kind(self):
         cls_clients = partition_data(synthetic_classification(30, 3, 2, seed=2),
@@ -205,6 +205,38 @@ class TestPartitionData:
                                      2, "iid", seed=0)
         assert cls_clients[0].data.is_classification
         assert not reg_clients[0].data.is_classification
+
+    @pytest.mark.parametrize("skew, digest", [
+        ("iid", "8c32ebe1b3391d8ff092af0dc4230276e7abd394bd82a59f424666eb2a6d8a6b"),
+        ("label-skew(0.5)", "292439fcfcd7e578941ba1599cbd238ddfbc31bc2d595ac75767cdd7d4fabe34"),
+    ])
+    def test_shards_match_the_golden_digest(self, skew, digest):
+        # every shard's rows, in order, and its label, for both task kinds;
+        # a split that moves, drops or reorders one row changes the digest
+        h = hashlib.sha256()
+        for data, n_clients in ((synthetic_classification(90, 4, 3, seed=1), 4),
+                                (synthetic_regression(40, 3, seed=2), 3)):
+            for seed in range(3):
+                for c in partition_data(data, n_clients, skew, seed=seed):
+                    h.update(c.data.features.tobytes())
+                    h.update(c.data.targets.tobytes())
+                    h.update(c.skew_label.encode())
+        assert h.hexdigest() == digest
+
+    def test_multi_output_regression_trains(self):
+        model = ModelSpec(kind="linear-regression", input_dim=5, output_dim=2,
+                          init_seed=1)
+        data = synthetic_regression(60, 5, output_dim=2, seed=3)
+        clients = partition_data(data, 3, seed=4)
+        assert [c.data.targets.shape for c in clients] == [(20, 2)] * 3
+        records = run_experiment(base_cfg(num_clients=3, rounds=2), model,
+                                 clients)
+        assert records[-1].global_loss < loss(model, init_params(model), data)
+
+    def test_label_skew_needs_a_single_target_column(self):
+        data = synthetic_regression(60, 5, output_dim=2, seed=3)
+        with pytest.raises(PartitionError, match="single target column"):
+            partition_data(data, 3, "label-skew(0.5)", seed=0)
 
 
 class TestSampleClients:
@@ -358,8 +390,7 @@ class TestRunExperiment:
         model = ModelSpec(kind="linear-regression", input_dim=63, output_dim=1,
                           init_seed=3)
         data = synthetic_regression(512, 63, seed=9, noise_std=0.1)
-        examples = data.examples()
-        clients = [ClientDataset(i, examples, "homogeneous") for i in range(8)]
+        clients = [ClientDataset(i, data, "homogeneous") for i in range(8)]
         common = dict(num_clients=8, rounds=20, local_iters=10, local_lr=0.05,
                       root_seed=21, batch_size=512)
         sub = run_experiment(
@@ -375,8 +406,7 @@ class TestRunExperiment:
         model = ModelSpec(kind="linear-regression", input_dim=15, output_dim=1,
                           init_seed=3)
         data = synthetic_regression(256, 15, seed=9, noise_std=0.1)
-        examples = data.examples()
-        clients = [ClientDataset(i, examples, "homogeneous") for i in range(4)]
+        clients = [ClientDataset(i, data, "homogeneous") for i in range(4)]
         threshold = 0.8 * loss(model, init_params(model), data)
         common = dict(num_clients=4, rounds=30, local_iters=10, total_bases=4,
                       local_lr=0.08, root_seed=21, batch_size=256)
@@ -470,8 +500,7 @@ class TestProtocolInvariants:
         # clients that apply the previous round's aggregate at the start of
         # the next round walk the same trajectory as server-side application
         model, data = small_regression(input_dim=5, n=48)
-        examples = data.examples()
-        clients = [ClientDataset(i, examples, "homogeneous") for i in range(2)]
+        clients = [ClientDataset(i, data, "homogeneous") for i in range(2)]
         cfg = base_cfg(num_clients=2, rounds=3, local_iters=2, total_bases=3,
                        local_lr=0.1, server_lr=1.5, batch_size=16)
 

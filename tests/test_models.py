@@ -17,7 +17,6 @@ from fedproj.errors import (
 )
 from fedproj.models import (
     Dataset,
-    Example,
     ModelSpec,
     ParamVector,
     _as_arrays,
@@ -172,18 +171,11 @@ def test_mlp_golden_loss_against_scalar_evaluator():
     assert total / len(ds) == pytest.approx(MLP_GOLDEN_LOSS, rel=1e-12)
 
 
-def test_loss_accepts_example_lists():
-    m = ModelSpec(kind="logistic-regression", input_dim=4, output_dim=2)
-    w = init_params(m)
-    ds = synthetic_classification(10, 4, 2, seed=5)
-    assert loss(m, w, ds.examples()) == pytest.approx(loss(m, w, ds), rel=1e-15)
-
-
 def test_loss_input_validation():
     m = ModelSpec(kind="linear-regression", input_dim=3, output_dim=1)
     w = init_params(m)
     with pytest.raises(InvalidDimensionError):
-        loss(m, w, [])
+        loss(m, w, Dataset(np.zeros((0, 3)), np.zeros(0)))
     with pytest.raises(ShapeMismatchError):
         loss(m, w, Dataset(np.ones((2, 4)), np.zeros(2)))
     with pytest.raises(NumericError):
@@ -356,14 +348,6 @@ def test_sgd_argument_validation():
 
 # ---------------------------------------------------------------- data
 
-def test_dataset_roundtrip_examples():
-    ds = synthetic_classification(6, 3, 2, seed=1)
-    back = Dataset.from_examples(ds.examples(), classification=True)
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.targets, ds.targets)
-    assert back.is_classification
-
-
 def test_dataset_take():
     ds = synthetic_regression(10, 2, seed=2)
     sub = ds.take(np.array([3, 3, 7]))
@@ -376,8 +360,6 @@ def test_dataset_validation():
         Dataset(np.zeros(4), np.zeros(4))
     with pytest.raises(ShapeMismatchError):
         Dataset(np.zeros((4, 2)), np.zeros(3))
-    with pytest.raises(InvalidDimensionError):
-        Dataset.from_examples([])
 
 
 def test_synthetic_determinism_and_shapes():
@@ -499,11 +481,6 @@ def test_predict_single_example_squeezes():
     w = init_params(m)
     one = predict(m, w, np.array([1.0, 2.0, 3.0]))
     assert one.shape == (1,)
-
-
-def test_example_type():
-    e = Example(features=np.array([1.0, 2.0]), target=3)
-    assert e.target == 3
 
 
 # ---------------------------------------------------------------- golden bits

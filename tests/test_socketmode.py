@@ -24,7 +24,7 @@ from fedproj.federation import (
     sample_clients,
 )
 from fedproj.models import (
-    Example,
+    Dataset,
     ModelSpec,
     synthetic_classification,
     synthetic_regression,
@@ -79,7 +79,7 @@ class ExitingClient(ClientDataset):
 
 def test_worker_that_dies_before_connecting_fails_fast():
     model, data, clients = task()
-    clients = [ExitingClient(c.client_id, c.examples, c.skew_label)
+    clients = [ExitingClient(c.client_id, c.data, c.skew_label)
                for c in clients]
     cfg = FedConfig(num_clients=4, rounds=1, local_iters=1, total_bases=8,
                     local_lr=0.05, root_seed=11, batch_size=32, method="fedavg")
@@ -133,15 +133,14 @@ def defective_shard_task(defect):
     model = ModelSpec("logistic-regression", 6, 3, init_seed=1)
     data = synthetic_classification(60, 6, 3, seed=2)
     clients = partition_data(data, 3, seed=3)
-    examples = list(clients[1].examples)
-    bad = examples[4]
+    features = clients[1].data.features.copy()
+    targets = clients[1].data.targets.copy()
     if defect == "nan-feature":
-        features = bad.features.copy()
-        features[2] = np.nan
-        examples[4] = Example(features, bad.target)
+        features[4, 2] = np.nan
     else:
-        examples[4] = Example(bad.features, 3)
-    clients[1] = ClientDataset(1, examples, clients[1].skew_label)
+        targets[4] = 3
+    clients[1] = ClientDataset(1, Dataset(features, targets),
+                               clients[1].skew_label)
     return model, data, clients
 
 
