@@ -60,7 +60,7 @@ from .projection import (
 )
 from .randbasis import RandomSeed, derive_subseed, trunc_gauss_stats, uniform_stream
 from .wire import decode_client_update, decode_frame, encode_client_update
-from .zoo import LossFn, ScalarGrads, ZOConfig, fedkseed_local_step, replay_scalar_log, zo_reconstruct, zo_scalar_grads
+from .zoo import LossFn, ScalarGrads, ZOConfig, fedkseed_local_step, replay_scalar_log, zo_gradient
 
 METHODS = ("subspace", "fedavg", "fedzo", "fedkseed")
 ALLOCATION_POLICIES = ("uniform", "norm-sqrt")
@@ -290,6 +290,8 @@ def partition_data(full: Dataset, num_clients: int, skew: str = "iid",
     else:
         if full.targets.ndim != 1:
             raise PartitionError("label skew needs a single target column")
+        if not full.is_classification:
+            raise PartitionError("label skew needs integer class targets")
         shards = None
         for attempt in range(_MAX_SKEW_ATTEMPTS):
             rng = StreamRng(derive_subseed(seed, round_index=attempt,
@@ -354,7 +356,6 @@ def _walk_loss(model: ModelSpec, data: Dataset) -> LossFn:
 def _zo_local_delta(cfg: FedConfig, model: ModelSpec, w_values: np.ndarray,
                     data: Dataset, zo_seed: RandomSeed) -> np.ndarray:
     """fedzo client: local_iters steps along zeroth-order gradient estimates."""
-    part = BlockPartition.single(w_values.shape[0], 1)
     cur = w_values.copy()
     loss_fn = _walk_loss(model, data)
     for t in range(cfg.local_iters):
@@ -362,10 +363,9 @@ def _zo_local_delta(cfg: FedConfig, model: ModelSpec, w_values: np.ndarray,
                         num_perturbations=cfg.total_bases,
                         seed=derive_subseed(zo_seed, round_index=t + 1))
         try:
-            grads = zo_scalar_grads(loss_fn, cur, zcfg)
+            step = zo_gradient(loss_fn, cur, zcfg)
         except NumericError as err:
             raise DivergedError(str(err), iteration=t) from err
-        step = zo_reconstruct(grads, part).values
         if not np.all(np.isfinite(step)):
             raise DivergedError("zeroth-order step became non-finite", iteration=t)
         cur -= cfg.local_lr * step

@@ -363,10 +363,15 @@ def block_cost(partition: BlockPartition) -> int:
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two flat vectors (0.0 if either is zero)."""
+    """Cosine of the angle between two flat vectors (0.0 if either is zero).
+
+    All three dot products are fixed-order einsum loops, so the value does
+    not depend on how many threads BLAS would have split them over.
+    """
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    na = np.sqrt(np.einsum("i,i->", a, a, optimize=False))
+    nb = np.sqrt(np.einsum("i,i->", b, b, optimize=False))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(a @ b / (na * nb))
+    return float(np.einsum("i,i->", a, b, optimize=False) / (na * nb))

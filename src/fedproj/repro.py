@@ -42,7 +42,7 @@ from .projection import (
     reconstruct,
 )
 from .randbasis import RandomSeed, derive_subseed, trunc_gauss_stats, uniform_stream
-from .zoo import ZOConfig, zo_reconstruct, zo_scalar_grads
+from .zoo import ZOConfig, zo_gradient
 
 SERIES_NAMES = ("accuracy-vs-bases", "drift-immunity", "allocation-ablation",
                 "rounds-curve")
@@ -111,8 +111,8 @@ def accuracy_vs_bases(dim: int = 10_000,
                 reconstruct(project(tagged, basis_seed), part).values, delta))
             zcfg = ZOConfig(epsilon=epsilon, num_perturbations=k,
                             seed=basis_seed)
-            est = zo_reconstruct(zo_scalar_grads(_sum_sin_sq, w0, zcfg), part)
-            zo.append(cosine_similarity(est.values, delta))
+            est = zo_gradient(_sum_sin_sq, w0, zcfg)
+            zo.append(cosine_similarity(est, delta))
         rows.append((float(k), float(np.mean(sub)), float(np.mean(zo))))
     return Series(name="accuracy-vs-bases",
                   columns=("bases", "subspace_cosine", "zeroth_order_cosine"),
@@ -136,8 +136,7 @@ def drift_immunity(dim: int = 50_000, bases: int = 500,
         zcfg = ZOConfig(epsilon=epsilon, num_perturbations=bases,
                         seed=basis_seed)
         # the ZO estimate is probed once at w0; it cannot depend on T
-        zo_est = zo_reconstruct(zo_scalar_grads(_sum_sin_sq, w0, zcfg),
-                                part).values
+        zo_est = zo_gradient(_sum_sin_sq, w0, zcfg)
         for t in steps:
             delta = _descent_delta(w0, lr, t)
             tagged = UpdateVector(values=delta, partition=part)

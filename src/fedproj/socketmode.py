@@ -53,7 +53,6 @@ from .federation import (
 from .models import Dataset, ModelSpec
 from .wire import (
     TAG_DONE,
-    TAG_ROUND,
     TAG_SHUTDOWN,
     decode_round,
     encode_done,

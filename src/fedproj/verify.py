@@ -30,7 +30,7 @@ from .randbasis import RandomSeed, basis_tile, derive_subseed, trunc_gauss_stats
 from .repro import (_normal_vec, accuracy_vs_bases, allocation_ablation,
                     drift_immunity, format_records_csv)
 from .socketmode import run_experiment_sockets
-from .zoo import ZOConfig, zo_reconstruct, zo_scalar_grads
+from .zoo import ZOConfig, zo_gradient
 
 CHECK_NAMES = (
     "unbiased",
@@ -178,7 +178,6 @@ def _check_zo_connection(cfg: TheoryCheckConfig):
     trials = cfg.trials if cfg.trials is not None else 100
     eps_values = (cfg.epsilon,) if cfg.epsilon is not None else (0.1, 0.01)
     beta = cfg.beta
-    part = BlockPartition((d,), (k,))
     worst = 0.0
     violations = 0
     total = 0
@@ -198,10 +197,9 @@ def _check_zo_connection(cfg: TheoryCheckConfig):
 
             bseed = derive_subseed(cfg.seed, client=3, round_index=t + 1,
                                    basis_index=e_i + 1)
-            scalars = zo_scalar_grads(quad, w, ZOConfig(epsilon=eps,
-                                                        num_perturbations=k,
-                                                        seed=bseed))
-            zo_est = zo_reconstruct(scalars, part).values
+            zo_est = zo_gradient(quad, w, ZOConfig(epsilon=eps,
+                                                   num_perturbations=k,
+                                                   seed=bseed))
             rows = basis_tile(bseed, 0, d, 0, k).astype(np.float64)
             projected = rows.T @ (rows @ grad) / k
             gap = float(np.linalg.norm(zo_est - projected))

@@ -3,11 +3,15 @@
 Both baselines estimate directional derivatives from forward differences of a
 scalar loss evaluator along regenerable random directions:
 
-* ``zo_scalar_grads`` + ``zo_reconstruct``: estimate all K scalars at a fixed
-  point, then assemble (1/K) sum_k g_k v_k.  Transmitting the reconstructed
-  vector costs O(d); transmitting (seed, scalars) costs O(K).
+* ``zo_gradient``: one ascending walk over K directions at a fixed point w.
+  Row k is generated once; it forms the probe, gives the scalar g_k, and is
+  added into the running sum, which ends as (1/K) sum_k g_k v_k.  Transmitting
+  that vector costs O(d).
 * ``fedkseed_local_step``: K sequential one-direction steps
   ``w <- w - lr * g_k * v_k``; the (seed, scalars) log replays bit-exactly.
+
+Each walk keeps its direction and probe point in one buffer for the whole
+walk, so ``loss_fn`` must not keep the arrays it is given.
 
 Directions here span the whole vector (truncation bound 1/sqrt(d_total)),
 matching the flat geometry of the methods being reproduced; block budgets of
@@ -22,8 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDimensionError, NumericError, ShapeMismatchError
-from .projection import BlockPartition, UpdateVector
+from .errors import InvalidDimensionError, NumericError
 from .randbasis import RandomSeed, sample_basis
 
 LossFn = Callable[[np.ndarray], float]
@@ -67,31 +70,26 @@ def _finite_loss(loss_fn: LossFn, w: np.ndarray, index: int | None) -> float:
     return value
 
 
-def zo_scalar_grads(loss_fn: LossFn, w: np.ndarray, cfg: ZOConfig) -> ScalarGrads:
-    """Forward-difference scalars along K seeded directions: exactly K+1 loss calls."""
+def zo_gradient(loss_fn: LossFn, w: np.ndarray, cfg: ZOConfig) -> np.ndarray:
+    """Forward-difference estimate (1/K) sum_k g_k v_k: exactly K+1 loss calls.
+
+    g_k = (loss(w + eps v_k) - loss(w)) / eps, summed in ascending k and
+    divided by K once at the end.
+    """
     w = np.asarray(getattr(w, "values", w), dtype=np.float64)
     d = w.shape[0]
     base = _finite_loss(loss_fn, w, None)
-    vals = np.empty(cfg.num_perturbations, dtype=np.float64)
-    for k in range(cfg.num_perturbations):
-        v = sample_basis(cfg.seed, d, k).values.astype(np.float64)
-        shifted = _finite_loss(loss_fn, w + cfg.epsilon * v, k)
-        vals[k] = (shifted - base) / cfg.epsilon
-    return ScalarGrads(seed=cfg.seed, values=vals)
-
-
-def zo_reconstruct(grads: ScalarGrads, partition: BlockPartition) -> UpdateVector:
-    """Assemble (1/K) sum_k g_k v_k over the partition's full dimension."""
-    d = partition.total_dim
-    k_total = grads.count
-    if k_total < 1:
-        raise ShapeMismatchError("scalar-gradient log is empty")
     acc = np.zeros(d, dtype=np.float64)
-    for k in range(k_total):  # ascending, same stream order as the producer
-        v = sample_basis(grads.seed, d, k).values.astype(np.float64)
-        acc += grads.values[k] * v
-    acc /= k_total
-    return UpdateVector(values=acc, partition=partition)
+    v = np.empty(d, dtype=np.float64)
+    probe = np.empty(d, dtype=np.float64)
+    for k in range(cfg.num_perturbations):
+        v[...] = sample_basis(cfg.seed, d, k).values
+        np.multiply(v, cfg.epsilon, out=probe)
+        probe += w  # fl(eps * v) + w, the same sum as w + fl(eps * v)
+        g = (_finite_loss(loss_fn, probe, k) - base) / cfg.epsilon
+        acc += np.multiply(v, g, out=probe)
+    acc /= cfg.num_perturbations
+    return acc
 
 
 def fedkseed_local_step(w: np.ndarray, loss_fn: LossFn, cfg: ZOConfig,

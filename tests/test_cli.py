@@ -104,6 +104,13 @@ class TestRun:
         cfg["data"] = {"source": "csv", "path": str(tmp_path / "absent.csv")}
         assert main(["run", dump(tmp_path, cfg)]) == 2
 
+    def test_label_skew_on_regression_targets_exits_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["data"]["skew"] = "label-skew(0.5)"
+        assert main(["run", dump(tmp_path, cfg)]) == 2
+        assert "class targets" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
+
     def test_feature_count_mismatch_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         cfg["data"]["input_dim"] = 9

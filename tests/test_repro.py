@@ -1,8 +1,15 @@
 """Tests for the desk-scale study series."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fedproj
 from fedproj.errors import ConfigError, InvalidDimensionError
 from fedproj.federation import RoundRecord
 from fedproj.repro import (RECORD_COLUMNS, SERIES_NAMES, Series,
@@ -70,6 +77,22 @@ class TestDriftImmunity:
         b = drift_immunity(dim=800, bases=32, steps=(5,), trials=2, seed=3)
         assert a.rows == b.rows
 
+    def test_rows_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot product over threads above 10,000 entries,
+        # which moves the last bits of a BLAS-formed cosine
+        code = ("from fedproj.repro import drift_immunity, format_series_csv; "
+                "print(format_series_csv(drift_immunity(dim=12_000, bases=24, "
+                "steps=(1, 5), seed=3)), end='')")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(Path(fedproj.__file__).parents[1]),
+                        os.environ.get("PYTHONPATH", "")]))
+        single = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=300)
+        here = drift_immunity(dim=12_000, bases=24, steps=(1, 5), seed=3)
+        assert single.stdout == format_series_csv(here)
+
 
 class TestAllocationAblation:
     def test_columns_and_trial_index(self):
@@ -101,6 +124,13 @@ class TestRoundsCurve:
         s = rounds_curve(rounds=4, seed=21)
         assert s.column("subspace_loss")[-1] < s.column("subspace_loss")[0]
         assert s.column("fedavg_loss")[-1] < s.column("fedavg_loss")[0]
+
+    def test_csv_matches_the_golden_digest(self):
+        # every method's bits, fedzo's zeroth-order estimates and fedkseed's
+        # replayed steps included
+        text = format_series_csv(rounds_curve())
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "9c7ee390c2da52352fe56dda67ded2715abbb3d68903171113dbb82a8b2d0082"
 
 
 class TestBuildSeries:

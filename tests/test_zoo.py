@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedproj import randbasis
-from fedproj.errors import InvalidDimensionError, NumericError, ShapeMismatchError
+from fedproj.errors import InvalidDimensionError, NumericError
 from fedproj.projection import BlockPartition, UpdateVector
 from fedproj.randbasis import basis_tile
 from fedproj.zoo import (
@@ -10,13 +10,26 @@ from fedproj.zoo import (
     ZOConfig,
     fedkseed_local_step,
     replay_scalar_log,
-    zo_reconstruct,
-    zo_scalar_grads,
+    zo_gradient,
 )
 
 
 def _directions(seed: int, d: int, k: int) -> np.ndarray:
     return basis_tile(seed, 0, d, 0, k).astype(np.float64)
+
+
+def _two_pass_oracle(loss_fn, w: np.ndarray, cfg: ZOConfig) -> np.ndarray:
+    """All K scalars from materialized rows, then acc += g_k v_k, then /K."""
+    k_total = cfg.num_perturbations
+    rows = _directions(cfg.seed, w.shape[0], k_total)
+    base = loss_fn(w)
+    scalars = [(loss_fn(w + cfg.epsilon * rows[k]) - base) / cfg.epsilon
+               for k in range(k_total)]
+    acc = np.zeros(w.shape[0])
+    for k in range(k_total):
+        acc += scalars[k] * rows[k]
+    acc /= k_total
+    return acc
 
 
 def test_config_validation():
@@ -33,6 +46,25 @@ def test_scalar_grads_count():
     assert g.count == 5
 
 
+# K is never a power of two here, so dividing each term by K inside the walk
+# rounds differently from the one division at the end
+@pytest.mark.parametrize("d, k_total, eps", [
+    (64, 7, 1e-2),
+    (300, 17, 0.1),
+    (2410, 40, 1e-3),  # 13-row groups: three full, one of a single row
+])
+def test_zo_gradient_matches_two_pass_oracle_bitwise(d, k_total, eps):
+    w = np.random.default_rng(d).standard_normal(d)
+
+    def loss(x):
+        return float(np.sum(np.sin(x) ** 2))
+
+    cfg = ZOConfig(epsilon=eps, num_perturbations=k_total, seed=0xD1CE + d)
+    got = zo_gradient(loss, w, cfg)
+    assert got.dtype == np.float64 and got.shape == (d,)
+    assert np.array_equal(got, _two_pass_oracle(loss, w, cfg))
+
+
 def test_exactly_k_plus_one_evaluations():
     calls = []
 
@@ -41,52 +73,46 @@ def test_exactly_k_plus_one_evaluations():
         return float(np.sum(w ** 2))
 
     cfg = ZOConfig(epsilon=1e-3, num_perturbations=7, seed=2)
-    zo_scalar_grads(loss, np.ones(16), cfg)
+    zo_gradient(loss, np.ones(16), cfg)
     assert len(calls) == 8
     np.testing.assert_array_equal(calls[0], np.ones(16))
 
 
 def test_linear_loss_gives_directional_slopes():
-    # linear f: forward difference recovers c . v_k up to rounding
-    d, k = 32, 6
+    # linear f: each forward difference recovers c . v_k up to rounding, so
+    # the estimate is the materialized (1/K) V^T V c
+    d, k = 64, 8
     c = np.random.default_rng(0).standard_normal(d)
     cfg = ZOConfig(epsilon=1e-2, num_perturbations=k, seed=5)
-    grads = zo_scalar_grads(lambda w: float(c @ w), np.zeros(d), cfg)
-    want = _directions(5, d, k) @ c
-    np.testing.assert_allclose(grads.values, want, rtol=1e-9, atol=1e-11)
+    est = zo_gradient(lambda w: float(c @ w), np.zeros(d), cfg)
+    v = _directions(5, d, k)
+    np.testing.assert_allclose(est, v.T @ (v @ c) / k, rtol=1e-9, atol=1e-11)
+
+
+def test_reconstruct_matches_materialized_oracle():
+    # a scripted loss makes the K forward differences arbitrary scalars, so
+    # the accumulation alone is checked against (1/K) V^T g
+    d, k, eps = 64, 8, 1e-3
+    vals = np.random.default_rng(1).standard_normal(k)
+    script = iter([0.0, *(eps * vals)])
+    cfg = ZOConfig(epsilon=eps, num_perturbations=k, seed=4)
+    out = zo_gradient(lambda w: float(next(script)), np.zeros(d), cfg)
+    want = _directions(4, d, k).T @ vals / k
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-15)
 
 
 def test_accepts_update_vector_input():
     part = BlockPartition((8,), (2,))
     u = UpdateVector(np.full(8, 0.5), part)
     cfg = ZOConfig(epsilon=1e-3, num_perturbations=2, seed=9)
-    a = zo_scalar_grads(lambda w: float(w.sum()), u, cfg)
-    b = zo_scalar_grads(lambda w: float(w.sum()), np.full(8, 0.5), cfg)
-    np.testing.assert_array_equal(a.values, b.values)
-
-
-def test_reconstruct_matches_materialized_oracle():
-    d, k = 64, 8
-    part = BlockPartition((d,), (k,))
-    vals = np.random.default_rng(1).standard_normal(k)
-    out = zo_reconstruct(ScalarGrads(seed=4, values=vals), part)
-    want = _directions(4, d, k).T @ vals / k
-    np.testing.assert_allclose(out.values, want, rtol=1e-12, atol=1e-15)
-    assert out.partition is part
-
-
-def test_reconstruct_rejects_empty_log():
-    part = BlockPartition((8,), (2,))
-    with pytest.raises(ShapeMismatchError):
-        zo_reconstruct(ScalarGrads(seed=1, values=np.empty(0)), part)
+    a = zo_gradient(lambda w: float(w.sum()), u, cfg)
+    b = zo_gradient(lambda w: float(w.sum()), np.full(8, 0.5), cfg)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_zero_function_reconstructs_zero():
-    part = BlockPartition((16,), (4,))
     cfg = ZOConfig(epsilon=1e-3, num_perturbations=4, seed=6)
-    grads = zo_scalar_grads(lambda w: 0.0, np.ones(16), cfg)
-    assert np.all(grads.values == 0.0)
-    assert np.all(zo_reconstruct(grads, part).values == 0.0)
+    assert np.all(zo_gradient(lambda w: 0.0, np.ones(16), cfg) == 0.0)
 
 
 def test_quadratic_remainder_within_curvature_bound():
@@ -95,13 +121,11 @@ def test_quadratic_remainder_within_curvature_bound():
     # (eps/2) max_k ||v_k||^3
     d, k, eps = 128, 16, 1e-2
     w = np.random.default_rng(2).standard_normal(d)
-    part = BlockPartition((d,), (k,))
     cfg = ZOConfig(epsilon=eps, num_perturbations=k, seed=8)
-    grads = zo_scalar_grads(lambda x: 0.5 * float(x @ x), w, cfg)
-    recon = zo_reconstruct(grads, part).values
+    est = zo_gradient(lambda x: 0.5 * float(x @ x), w, cfg)
     v = _directions(8, d, k)
     first_order = v.T @ (v @ w) / k
-    gap = np.linalg.norm(recon - first_order)
+    gap = np.linalg.norm(est - first_order)
     bound = 0.5 * eps * np.linalg.norm(v, axis=1).max() ** 3
     assert gap <= bound + 1e-9
 
@@ -109,14 +133,13 @@ def test_quadratic_remainder_within_curvature_bound():
 def test_quadratic_remainder_linear_in_epsilon():
     d, k = 64, 8
     w = np.random.default_rng(3).standard_normal(d)
-    part = BlockPartition((d,), (k,))
     v = _directions(11, d, k)
     first_order = v.T @ (v @ w) / k
 
     def gap(eps):
         cfg = ZOConfig(epsilon=eps, num_perturbations=k, seed=11)
-        grads = zo_scalar_grads(lambda x: 0.5 * float(x @ x), w, cfg)
-        return np.linalg.norm(zo_reconstruct(grads, part).values - first_order)
+        est = zo_gradient(lambda x: 0.5 * float(x @ x), w, cfg)
+        return np.linalg.norm(est - first_order)
 
     g1, g2 = gap(1e-1), gap(1e-3)
     assert g2 < g1
@@ -126,7 +149,7 @@ def test_quadratic_remainder_linear_in_epsilon():
 def test_nonfinite_base_point_raises():
     cfg = ZOConfig(epsilon=1e-3, num_perturbations=2, seed=1)
     with pytest.raises(NumericError) as err:
-        zo_scalar_grads(lambda w: float("nan"), np.ones(4), cfg)
+        zo_gradient(lambda w: float("nan"), np.ones(4), cfg)
     assert err.value.index is None
     assert "base point" in str(err.value)
 
@@ -140,7 +163,7 @@ def test_nonfinite_perturbation_names_index():
 
     cfg = ZOConfig(epsilon=1e-3, num_perturbations=8, seed=1)
     with pytest.raises(NumericError) as err:
-        zo_scalar_grads(loss, np.ones(4), cfg)
+        zo_gradient(loss, np.ones(4), cfg)
     assert err.value.index == 2
     assert "perturbation 2" in str(err.value)
 
@@ -197,7 +220,8 @@ def test_fedkseed_names_step_when_evaluator_rejects_point():
 
 def test_walks_generate_rows_in_span_sized_groups(monkeypatch):
     # the fedkseed-mlp shape: d = 2,410 and K = 256; a 2^15-entry span holds
-    # 13 such rows, so each ascending walk takes ceil(256 / 13) = 20 tiles
+    # 13 such rows, so each ascending walk takes ceil(256 / 13) = 20 tiles,
+    # and a whole fedzo estimate is one such walk
     d, k_total = 2410, 256
     calls = []
 
@@ -220,5 +244,4 @@ def test_walks_generate_rows_in_span_sized_groups(monkeypatch):
     cfg = ZOConfig(epsilon=1e-3, num_perturbations=k_total, seed=0xFEDC5EED)
     w_end, log = tiles(lambda: fedkseed_local_step(w0, loss, cfg, lr=0.05))
     assert np.array_equal(tiles(lambda: replay_scalar_log(w0, log, lr=0.05)), w_end)
-    grads = tiles(lambda: zo_scalar_grads(loss, w0, cfg))
-    tiles(lambda: zo_reconstruct(grads, BlockPartition((d,), (k_total,))))
+    tiles(lambda: zo_gradient(loss, w0, cfg))
