@@ -21,6 +21,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass
 
 from .errors import ConfigError, DivergedError, FedprojError, NumericError
@@ -43,6 +44,12 @@ DATA_SOURCES = ("synthetic-regression", "synthetic-classification",
 
 # accepted keys per config section; anything else is rejected by name
 _MODEL_KEYS = ("kind", "input_dim", "output_dim", "hidden_dim", "init_seed")
+_DATA_BUILDERS = {
+    "synthetic-regression": synthetic_regression,
+    "synthetic-classification": synthetic_classification,
+    "csv": load_csv,
+    "npz": load_npz,
+}
 _DATA_KEYS = {
     "synthetic-regression": ("n", "input_dim", "output_dim", "seed",
                              "noise_std"),
@@ -75,6 +82,29 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
                           f"allowed: {', '.join(allowed)}")
 
 
+# the JSON values each annotated parameter type accepts, and how to say so
+_JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _check_types(section: dict, target, where: str) -> None:
+    """Reject values whose JSON type does not fit ``target``'s annotations.
+
+    Only a bool parameter takes true or false, though Python counts them as
+    integers; keys ``target`` does not annotate are left alone.
+    """
+    hints = typing.get_type_hints(target)
+    for key, value in section.items():
+        want = hints.get(key)
+        if want not in _JSON_TYPES:
+            continue
+        accepts, expected = _JSON_TYPES[want]
+        if (isinstance(value, bool) != (want is bool)
+                or not isinstance(value, accepts)):
+            raise ConfigError(f"{where}.{key} must be {expected}, "
+                              f"got {json.dumps(value)}")
+
+
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing required key {key!r} in {where}")
@@ -88,6 +118,7 @@ def _build_dataset(section: dict, model: ModelSpec) -> Dataset:
                           + ", ".join(DATA_SOURCES))
     body = {k: v for k, v in section.items() if k not in ("source", "skew")}
     _reject_unknown(body, _DATA_KEYS[source], f"data ({source})")
+    _check_types(body, _DATA_BUILDERS[source], "data")
     if source == "synthetic-regression":
         return synthetic_regression(n=_require(body, "n", "data"),
                                     input_dim=_require(body, "input_dim", "data"),
@@ -136,14 +167,18 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     out_sec = _require(raw, "output", "config")
 
     _reject_unknown(model_sec, _MODEL_KEYS, "model")
+    _check_types(model_sec, ModelSpec, "model")
     model = ModelSpec(**model_sec)
 
     dataset = _build_dataset(data_sec, model)
+    skew = data_sec.get("skew", "iid")
+    _check_types({"skew": skew}, partition_data, "data")
     if dataset.num_features != model.input_dim:
         raise ConfigError(f"data has {dataset.num_features} features but the "
                           f"model expects {model.input_dim}")
 
     _reject_unknown(fed_sec, _FED_KEYS, "federation")
+    _check_types(fed_sec, FedConfig, "federation")
     federation = FedConfig(**fed_sec)
 
     _reject_unknown(out_sec, _OUTPUT_KEYS, "output")
@@ -154,7 +189,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
     return ExperimentConfig(model=model, federation=federation,
                             dataset=dataset,
-                            skew=data_sec.get("skew", "iid"),
+                            skew=skew,
                             records_csv=records_csv,
                             summary_json=summary_json, raw=raw)
 
@@ -236,7 +271,7 @@ def cmd_protocol_dump(args) -> int:
         f"  reconstruct row-group size = {_TILE_ELEMS} entries",
         "wire format",
         f"  PROJECTION_VERSION = {PROJECTION_VERSION}",
-        "  frame = u32 little-endian body length, u8 tag, body",
+        "  frame = u32 little-endian length (tag byte plus body), u8 tag, body",
         f"  TAG_PROJECTED = 0x{wire.TAG_PROJECTED:02X}",
         f"  TAG_SCALAR    = 0x{wire.TAG_SCALAR:02X}",
         f"  TAG_RAW       = 0x{wire.TAG_RAW:02X}",

@@ -39,7 +39,6 @@ from .errors import (
 from .models import (
     Dataset,
     ModelSpec,
-    ParamVector,
     _CheckedBatch,
     accuracy,
     init_params,
@@ -73,8 +72,6 @@ _IDX_SAMPLING = 1
 _IDX_PROJECTION = 2
 _IDX_LOCAL_RNG = 3
 _IDX_DATA = 4
-
-_MAX_SKEW_ATTEMPTS = 1000
 
 
 @dataclass(frozen=True)
@@ -167,7 +164,7 @@ class ExperimentState:
     """Mutable server-side state threaded through the rounds."""
 
     model: ModelSpec
-    w: ParamVector
+    w: np.ndarray
     partition: BlockPartition | None
     eval_data: Dataset
     round_index: int = 0
@@ -245,7 +242,7 @@ def _parse_skew(skew: str) -> tuple[str, float]:
 
 
 def _skewed_split(n: int, targets: np.ndarray, n_clients: int,
-                  alpha: float, rng: StreamRng) -> list[list[int]] | None:
+                  alpha: float, rng: StreamRng) -> list[list[int]]:
     classes = np.unique(targets)
     pools = {c: list(np.flatnonzero(targets == c)) for c in classes}
     sizes = _even_split(n, n_clients)
@@ -258,14 +255,12 @@ def _skewed_split(n: int, targets: np.ndarray, n_clients: int,
             take = min(int(count), len(pools[c]))
             shard.extend(pools[c][:take])
             del pools[c][:take]
-        while len(shard) < sizes[i]:  # top up from the fullest leftover pool
+        # top up from the fullest leftover pool; the pools hold exactly the
+        # examples no shard has taken, so it is never empty here
+        while len(shard) < sizes[i]:
             c = max(pools, key=lambda k: len(pools[k]))
-            if not pools[c]:
-                return None
             shard.append(pools[c].pop(0))
         shards.append(shard)
-    if any(len(s) == 0 for s in shards):
-        return None
     return shards
 
 
@@ -279,8 +274,8 @@ def partition_data(full: Dataset, num_clients: int, skew: str = "iid",
         raise PartitionError(f"{n} examples cannot cover {num_clients} clients")
     kind, alpha = _parse_skew(skew)
 
+    rng = StreamRng(derive_subseed(seed, basis_index=_IDX_DATA))
     if kind == "iid" or num_clients == 1:
-        rng = StreamRng(derive_subseed(seed, basis_index=_IDX_DATA))
         order = rng.shuffled(n)
         shards, at = [], 0
         for size in _even_split(n, num_clients):
@@ -292,16 +287,7 @@ def partition_data(full: Dataset, num_clients: int, skew: str = "iid",
             raise PartitionError("label skew needs a single target column")
         if not full.is_classification:
             raise PartitionError("label skew needs integer class targets")
-        shards = None
-        for attempt in range(_MAX_SKEW_ATTEMPTS):
-            rng = StreamRng(derive_subseed(seed, round_index=attempt,
-                                           basis_index=_IDX_DATA))
-            shards = _skewed_split(n, full.targets, num_clients, alpha, rng)
-            if shards is not None:
-                break
-        if shards is None:
-            raise PartitionError(
-                f"could not build a non-empty label-skew({alpha}) split")
+        shards = _skewed_split(n, full.targets, num_clients, alpha, rng)
         label = skew
 
     return [ClientDataset(client_id=i, data=full.take(shard), skew_label=label)
@@ -380,12 +366,11 @@ def client_update_frame(cfg: FedConfig, model: ModelSpec,
     This single code path serves both the in-process simulator and the socket
     worker, which is what makes their byte streams identical.
     """
-    w = ParamVector(values=w_values, layout=model.layout)
     try:
         if cfg.method in ("subspace", "fedavg"):
-            _, delta = local_sgd(model, w, client.data, iters=cfg.local_iters,
-                                 lr=cfg.local_lr, batch_size=cfg.batch_size,
-                                 accum=cfg.accum,
+            _, delta = local_sgd(model, w_values, client.data,
+                                 iters=cfg.local_iters, lr=cfg.local_lr,
+                                 batch_size=cfg.batch_size, accum=cfg.accum,
                                  rng=_local_rng(cfg, round_index, client.client_id),
                                  optimizer=cfg.optimizer)
             if cfg.method == "fedavg":
@@ -443,8 +428,8 @@ def _client_delta(msg: ClientUpdateMsg, state: ExperimentState,
             raise ProtocolError("projected reply without a partition")
         return reconstruct(payload, state.partition).values
     if isinstance(payload, ScalarGrads):
-        replayed = replay_scalar_log(state.w.values, payload, lr=cfg.local_lr)
-        return state.w.values - replayed
+        replayed = replay_scalar_log(state.w, payload, lr=cfg.local_lr)
+        return state.w - replayed
     if payload.shape[0] != state.model.dim:
         raise ProtocolError(
             f"raw delta has {payload.shape[0]} entries, model has "
@@ -458,7 +443,7 @@ def _seed_bearing(cfg: FedConfig) -> bool:
 
 def apply_replies(state: ExperimentState, cfg: FedConfig,
                   frames: list[bytes], wall_local: float = 0.0
-                  ) -> tuple[ParamVector, RoundRecord, list[ClientUpdateMsg]]:
+                  ) -> tuple[np.ndarray, RoundRecord, list[ClientUpdateMsg]]:
     """Fold one round of encoded replies into the global model.
 
     Decodes, reconstructs per-client deltas, averages them in ascending
@@ -480,8 +465,8 @@ def apply_replies(state: ExperimentState, cfg: FedConfig,
         for m in msgs:
             total += _client_delta(m, state, cfg)
         step = cfg.server_lr * (total / len(msgs))
-        new_w = state.w.replace(state.w.values - step)
-    if not np.all(np.isfinite(new_w.values)):
+        new_w = state.w - step
+    if not np.all(np.isfinite(new_w)):
         raise DivergedError("aggregated parameters are not finite", 0,
                             round_index=state.round_index)
 
@@ -497,10 +482,12 @@ def apply_replies(state: ExperimentState, cfg: FedConfig,
     state.cumulative_grad_evals += _grad_evals_per_client(cfg) * n
 
     state.w = new_w
+    global_loss = loss(state.model, new_w, state.eval_data)
     record = RoundRecord(
         round_index=state.round_index,
-        global_loss=loss(state.model, new_w, state.eval_data),
-        eval_metric=_metric(state.model, new_w, state.eval_data),
+        global_loss=global_loss,
+        eval_metric=(global_loss if state.model.kind == "linear-regression"
+                     else accuracy(state.model, new_w, state.eval_data)),
         cumulative_upload=state.cumulative_upload,
         cumulative_download=state.cumulative_download,
         cumulative_grad_evals=state.cumulative_grad_evals,
@@ -511,20 +498,14 @@ def apply_replies(state: ExperimentState, cfg: FedConfig,
     return new_w, record, msgs
 
 
-def _metric(model: ModelSpec, w: ParamVector, data: Dataset) -> float:
-    if model.kind == "linear-regression":
-        return loss(model, w, data)
-    return accuracy(model, w, data)
-
-
 def run_round(state: ExperimentState, clients: list[ClientDataset],
-              cfg: FedConfig) -> tuple[ParamVector, RoundRecord, list[ClientUpdateMsg]]:
+              cfg: FedConfig) -> tuple[np.ndarray, RoundRecord, list[ClientUpdateMsg]]:
     """One synchronized round: sample, run clients, aggregate."""
     picked = sample_clients(cfg, state.round_index)
     by_id = {c.client_id: c for c in clients}
     t0 = time.perf_counter()
     frames = [client_update_frame(cfg, state.model, state.partition,
-                                  state.w.values, by_id[i], state.round_index)
+                                  state.w, by_id[i], state.round_index)
               for i in picked]
     wall_local = time.perf_counter() - t0
     return apply_replies(state, cfg, frames, wall_local=wall_local)
@@ -550,7 +531,7 @@ def build_partition(cfg: FedConfig, model: ModelSpec,
     return BlockPartition(tuple(dims), budgets)
 
 
-def _calibration_norms(cfg: FedConfig, model: ModelSpec, w: ParamVector,
+def _calibration_norms(cfg: FedConfig, model: ModelSpec, w: np.ndarray,
                        clients: list[ClientDataset]) -> np.ndarray:
     """Per-block delta norms from the first round-0 participant's local run."""
     first_id = sample_clients(cfg, 0)[0]

@@ -2,9 +2,9 @@
 
 Three differentiable models with analytic gradients: linear regression
 (half mean squared error), softmax logistic regression, and a one-hidden-layer
-tanh MLP with cross-entropy.  Parameters live in a flat ``ParamVector`` whose
-named group layout (weight and bias slabs) supplies block boundaries for the
-projection partition.
+tanh MLP with cross-entropy.  Parameters are a flat 1-D float64 vector laid
+out by ``ModelSpec.layout``: named weight and bias groups, contiguous from 0,
+whose sizes supply block boundaries for the projection partition.
 
 ``local_sgd`` runs the client-side loop: T steps of ``w <- w - lr * g_hat``
 where ``g_hat`` averages ``accum`` sampled micro-batches, all sampling driven
@@ -147,42 +147,7 @@ class ModelSpec:
                 "w2": self.hidden_dim}.get(name, 0)
 
 
-@dataclass(frozen=True)
-class ParamVector:
-    """Flat model parameters with the owning model's group layout."""
-
-    values: np.ndarray
-    layout: tuple[tuple[str, int, int], ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ShapeMismatchError("parameters must be a flat vector")
-        off = 0
-        for name, o, size in self.layout:
-            if o != off or size < 1:
-                raise ShapeMismatchError(f"group {name!r} breaks the layout")
-            off += size
-        if off != v.shape[0]:
-            raise ShapeMismatchError(
-                f"layout covers {off} entries, vector has {v.shape[0]}")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
-    def group(self, name: str) -> np.ndarray:
-        for n, off, size in self.layout:
-            if n == name:
-                return self.values[off:off + size]
-        raise KeyError(name)
-
-    def replace(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(values=values, layout=self.layout)
-
-
-def init_params(model: ModelSpec) -> ParamVector:
+def init_params(model: ModelSpec) -> np.ndarray:
     """Truncated-normal weights with per-group 1/sqrt(fan_in) bound; zero biases."""
     vals = np.zeros(model.dim, dtype=np.float64)
     for g, (name, off, size) in enumerate(model.layout):
@@ -192,7 +157,7 @@ def init_params(model: ModelSpec) -> ParamVector:
         sub = derive_subseed(model.init_seed, block=g)
         vals[off:off + size] = trunc_gauss_stream(
             sub, size, bound=1.0 / math.sqrt(fan_in))
-    return ParamVector(values=vals, layout=model.layout)
+    return vals
 
 
 # ---------------------------------------------------------------- batches
@@ -239,15 +204,23 @@ def _as_arrays(model: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
         y = np.asarray(y)
         if y.ndim != 1:
             raise ShapeMismatchError("class targets must be a flat index vector")
-        y = y.astype(np.int64, copy=False)
+        if not np.issubdtype(y.dtype, np.integer):
+            if _not_whole(y).any():
+                raise ShapeMismatchError("class targets must be whole numbers")
+            y = y.astype(np.int64)
         if y.min() < 0 or y.max() >= model.output_dim:
             raise ShapeMismatchError(
                 f"class index outside [0, {model.output_dim})")
     return x, y
 
 
-def _check_params(model: ModelSpec, w) -> np.ndarray:
-    v = np.asarray(getattr(w, "values", w), dtype=np.float64)
+def _not_whole(values: np.ndarray) -> np.ndarray:
+    """Mask of the float values that are not finite whole numbers."""
+    return ~np.isfinite(values) | (values != np.trunc(values))
+
+
+def _check_params(model: ModelSpec, w: np.ndarray) -> np.ndarray:
+    v = np.asarray(w, dtype=np.float64)
     if v.shape != (model.dim,):
         raise ShapeMismatchError(f"{v.shape} parameters, model expects ({model.dim},)")
     if not np.isfinite(v).all():
@@ -377,9 +350,9 @@ def _batch_indices(rng: RandomSeed, position: int, batch_size: int,
     return np.minimum((u * n_data).astype(np.int64), n_data - 1)
 
 
-def local_sgd(model: ModelSpec, w: ParamVector, dataset: Dataset, iters: int,
+def local_sgd(model: ModelSpec, w: np.ndarray, dataset: Dataset, iters: int,
               lr: float, batch_size: int, accum: int = 1, rng: RandomSeed = 0,
-              optimizer: str = "sgd") -> tuple[ParamVector, UpdateVector]:
+              optimizer: str = "sgd") -> tuple[np.ndarray, UpdateVector]:
     """T deterministic local steps; returns (w_end, delta = w_start - w_end).
 
     Each step averages ``accum`` micro-batch gradients taken at the current
@@ -446,15 +419,13 @@ def local_sgd(model: ModelSpec, w: ParamVector, dataset: Dataset, iters: int,
         acc += step
         np.subtract(v0, acc, out=cur)
 
-    return (ParamVector(values=cur, layout=model.layout),
-            UpdateVector(values=acc))
+    return cur, UpdateVector(values=acc)
 
 
 # ---------------------------------------------------------------- data
 
-def _normal_values(seed: RandomSeed, n: int, scale: float = 1.0,
-                   start: int = 0) -> np.ndarray:
-    return scale * trunc_gauss_stream(seed, n, bound=_DATA_TRUNC, start=start)
+def _normal_values(seed: RandomSeed, n: int) -> np.ndarray:
+    return trunc_gauss_stream(seed, n, bound=_DATA_TRUNC)
 
 
 def synthetic_regression(n: int, input_dim: int, output_dim: int = 1,
@@ -514,7 +485,14 @@ def load_csv(path: str, classification: bool = False) -> Dataset:
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}", line=ln) from exc
     arr = np.asarray(body, dtype=np.float64)
-    targets = arr[:, -1].astype(np.int64) if classification else arr[:, -1]
+    targets = arr[:, -1]
+    if classification:
+        bad = np.flatnonzero(_not_whole(targets))
+        if bad.size:
+            first = float(targets[bad[0]])
+            raise ConfigError(f"{path}: class target {first!r} is not a whole "
+                              "number", line=int(bad[0]) + 2)
+        targets = targets.astype(np.int64)
     return Dataset(arr[:, :-1], targets)
 
 

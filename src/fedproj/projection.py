@@ -116,10 +116,6 @@ class BlockPartition:
         return h & 0xFFFFFFFF
 
     @classmethod
-    def single(cls, dim: int, budget: int) -> "BlockPartition":
-        return cls((dim,), (budget,))
-
-    @classmethod
     def equal_split(cls, dim: int, num_blocks: int, total_budget: int) -> "BlockPartition":
         """Split dim and budget as evenly as integer arithmetic allows."""
         if num_blocks < 1 or dim < num_blocks:

@@ -147,14 +147,16 @@ def _clip_bound(dim: int) -> float:
     return float(b)
 
 
-def trunc_gauss_stream(seed: RandomSeed, n: int, bound: float, start: int = 0) -> np.ndarray:
+def trunc_gauss_stream(seed: RandomSeed, n: int, bound: float) -> np.ndarray:
     """n truncated-normal draws in [-bound, bound] as float64 (inverse-cdf transform)."""
     if not (math.isfinite(bound) and bound > 0.0):
         raise InvalidDimensionError("truncation bound must be positive and finite")
     lo = 0.5 * math.erfc(bound / SQRT2)            # Phi(-bound)
     width = math.erf(bound / SQRT2)                # Phi(bound) - Phi(-bound)
-    u = uniform_stream(seed, n, start=start)
-    return norm_ppf(lo + u * width)
+    u = uniform_stream(seed, n)
+    u *= width
+    u += lo
+    return norm_ppf(u)
 
 
 @dataclass(frozen=True)

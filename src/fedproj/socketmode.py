@@ -175,7 +175,7 @@ def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
         conn = _accept_worker(listener, worker)
         try:
             for _ in range(cfg.rounds):
-                send_frame(conn, encode_round(state.round_index, state.w.values))
+                send_frame(conn, encode_round(state.round_index, state.w))
                 t0 = time.perf_counter()
                 frames = []
                 for _ in sample_clients(cfg, state.round_index):

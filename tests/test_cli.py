@@ -91,6 +91,31 @@ class TestRun:
         assert main(["run", dump(tmp_path, cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "input_dim", "8"),
+        ("data", "n", "64"),
+        ("federation", "rounds", "2"),
+        ("federation", "local_lr", "0.1"),
+        ("federation", "num_clients", 2.5),
+        ("data", "n", 64.0),
+        ("federation", "total_bases", None),
+        ("data", "skew", 5),
+        ("federation", "rounds", True),
+    ])
+    def test_wrong_typed_values_exit_2(self, tmp_path, capsys, section, key,
+                                       value):
+        cfg = base_config(tmp_path)
+        cfg[section][key] = value
+        assert main(["run", dump(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{section}.{key} must be" in err and json.dumps(value) in err
+        assert not (tmp_path / "records.csv").exists()
+
+    def test_integer_fills_a_float_field(self, tmp_path):
+        cfg = base_config(tmp_path, local_lr=1, server_lr=1)
+        assert main(["run", dump(tmp_path, cfg)]) == 0
+        assert load_experiment_config(dump(tmp_path, cfg)).federation.local_lr == 1
+
     def test_missing_section_exits_2(self, tmp_path):
         cfg = base_config(tmp_path)
         del cfg["model"]
@@ -241,5 +266,7 @@ class TestProtocolDump:
                       "0x94D049BB133111EB", "TAG_SHUTDOWN  = 0x7F",
                       "MAX_FRAME_BYTES = 268435456",
                       "series expansion at dim >= 257",
-                      "PROJECTION_VERSION = 1"):
+                      "PROJECTION_VERSION = 1",
+                      "frame = u32 little-endian length (tag byte plus body), "
+                      "u8 tag, body"):
             assert token in out

@@ -33,7 +33,6 @@ from fedproj.federation import (
 from fedproj.models import (
     Dataset,
     ModelSpec,
-    ParamVector,
     grad,
     init_params,
     local_sgd,
@@ -274,9 +273,9 @@ class TestSubspaceRound:
         clients = partition_data(data, 4, seed=7)
         cfg = base_cfg(local_lr=0.0, rounds=1)
         state = setup_experiment(cfg, model, clients, data)
-        w0 = state.w.values.copy()
+        w0 = state.w.copy()
         new_w, record, _ = run_round(state, clients, cfg)
-        assert np.array_equal(new_w.values, w0)
+        assert np.array_equal(new_w, w0)
         assert record.global_loss == pytest.approx(loss(model, state.w, data))
 
     def test_single_client_exact_projection_is_one_sgd_step(self):
@@ -288,12 +287,12 @@ class TestSubspaceRound:
                        total_bases=model.dim, local_lr=0.1, server_lr=2.0,
                        batch_size=64, exact_projection=True)
         state = setup_experiment(cfg, model, clients, data)
-        w0 = state.w.values.copy()
+        w0 = state.w.copy()
         g = grad(model, state.w, clients[0].data).values
         new_w, _, _ = run_round(state, clients, cfg)
         want = w0 - 2.0 * 0.1 * g
         scale = np.linalg.norm(want - w0)
-        assert np.linalg.norm(new_w.values - want) <= 1e-5 * scale
+        assert np.linalg.norm(new_w - want) <= 1e-5 * scale
 
     def test_two_client_toy_matches_materialized_bases(self):
         # d = 8, K = 4: recompute every client's reconstruction with explicit
@@ -303,12 +302,11 @@ class TestSubspaceRound:
         cfg = base_cfg(num_clients=2, rounds=1, total_bases=4, server_lr=1.5)
         state = setup_experiment(cfg, model, clients, data)
         part = state.partition
-        w0 = state.w.values.copy()
-        w0_param = ParamVector(values=w0, layout=model.layout)
+        w0 = state.w.copy()
 
         total = np.zeros(model.dim)
         for client in clients:
-            _, delta = local_sgd(model, w0_param, client.data,
+            _, delta = local_sgd(model, w0, client.data,
                                  iters=cfg.local_iters, lr=cfg.local_lr,
                                  batch_size=cfg.batch_size,
                                  rng=_local_rng(cfg, 0, client.client_id))
@@ -326,7 +324,7 @@ class TestSubspaceRound:
 
         new_w, _, msgs = run_round(state, clients, cfg)
         assert len(msgs) == 2
-        np.testing.assert_allclose(new_w.values, want, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(new_w, want, rtol=1e-10, atol=1e-13)
 
 
 class TestFedavgRound:
@@ -335,12 +333,11 @@ class TestFedavgRound:
         clients = partition_data(data, 2, seed=5)
         cfg = base_cfg(num_clients=2, rounds=1, method="fedavg", server_lr=0.75)
         state = setup_experiment(cfg, model, clients, data)
-        w0 = state.w.values.copy()
-        w0_param = ParamVector(values=w0, layout=model.layout)
+        w0 = state.w.copy()
 
         total = np.zeros(model.dim)
         for client in clients:
-            _, delta = local_sgd(model, w0_param, client.data,
+            _, delta = local_sgd(model, w0, client.data,
                                  iters=cfg.local_iters, lr=cfg.local_lr,
                                  batch_size=cfg.batch_size,
                                  rng=_local_rng(cfg, 0, client.client_id))
@@ -349,7 +346,7 @@ class TestFedavgRound:
 
         new_w, _, msgs = run_round(state, clients, cfg)
         # raw deltas ride the wire as float64, so this is bit-exact
-        assert np.array_equal(new_w.values, want)
+        assert np.array_equal(new_w, want)
         assert all(m.upload_units == model.dim for m in msgs)
 
     def test_exact_full_rank_subspace_matches_fedavg(self):
@@ -491,12 +488,12 @@ class TestProtocolInvariants:
         cfg = base_cfg(num_clients=3, rounds=1)
         state = setup_experiment(cfg, model, clients, data)
         part = state.partition
-        w0_param = ParamVector(values=state.w.values.copy(), layout=model.layout)
+        w0 = state.w.copy()
         _, _, msgs = run_round(state, clients, cfg)
         for msg in msgs:
             server_side = reconstruct(msg.payload, part).values
             client = clients[msg.client_id]
-            _, delta = local_sgd(model, w0_param, client.data,
+            _, delta = local_sgd(model, w0, client.data,
                                  iters=cfg.local_iters, lr=cfg.local_lr,
                                  batch_size=cfg.batch_size,
                                  rng=_local_rng(cfg, 0, client.client_id))
@@ -518,17 +515,16 @@ class TestProtocolInvariants:
         engine_w = []
         for _ in range(cfg.rounds):
             run_round(state, clients, cfg)
-            engine_w.append(state.w.values.copy())
+            engine_w.append(state.w.copy())
 
-        w_cur = init_params(model).values.copy()
+        w_cur = init_params(model)
         pending = None
         for r in range(cfg.rounds):
             if pending is not None:
                 w_cur = w_cur - pending
-            w_param = ParamVector(values=w_cur, layout=model.layout)
             total = np.zeros(model.dim)
             for client in clients:
-                _, delta = local_sgd(model, w_param, client.data,
+                _, delta = local_sgd(model, w_cur, client.data,
                                      iters=cfg.local_iters, lr=cfg.local_lr,
                                      batch_size=cfg.batch_size,
                                      rng=_local_rng(cfg, r, client.client_id))
@@ -561,10 +557,10 @@ class TestProtocolInvariants:
         for server_lr in (1.0, 2.0):
             cfg = base_cfg(rounds=1, server_lr=server_lr)
             state = setup_experiment(cfg, model, clients, data)
-            w0 = state.w.values.copy()
+            w0 = state.w.copy()
             part = state.partition
             _, _, msgs = run_round(state, clients, cfg)
-            final[server_lr] = state.w.values
+            final[server_lr] = state.w
         total = np.zeros(model.dim)
         for m in msgs:
             total += reconstruct(m.payload, part).values
@@ -633,6 +629,36 @@ class TestAccountCosts:
         assert totals["subspace"] < totals["fedavg"]
 
 
+class TestRoundEvaluation:
+    @pytest.mark.parametrize("kind,accuracy_calls", [
+        ("linear-regression", 0),
+        ("logistic-regression", 1),
+    ])
+    def test_one_evaluation_pass_per_round(self, monkeypatch, kind,
+                                           accuracy_calls):
+        # fedavg runs no zeroth-order walk, so every loss call is evaluation
+        model = ModelSpec(kind=kind, input_dim=6,
+                          output_dim=1 if kind == "linear-regression" else 3)
+        data = (synthetic_regression(48, 6, seed=3) if accuracy_calls == 0
+                else synthetic_classification(48, 6, 3, seed=3))
+        clients = partition_data(data, 2, seed=1)
+        cfg = base_cfg(num_clients=2, rounds=1, method="fedavg")
+        state = setup_experiment(cfg, model, clients, data)
+        calls = {"loss": 0, "accuracy": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(federation, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(federation, name, counting)
+        new_w, record, _ = run_round(state, clients, cfg)
+        assert calls == {"loss": 1, "accuracy": accuracy_calls}
+        assert new_w is state.w
+        assert new_w.dtype == np.float64 and new_w.shape == (model.dim,)
+        assert record.global_loss == loss(model, new_w, data)
+        if accuracy_calls == 0:
+            assert record.eval_metric == record.global_loss
+
+
 class TestWalkEvaluator:
 
     @pytest.mark.parametrize("method,iters,bases,calls", [
@@ -658,7 +684,7 @@ class TestWalkEvaluator:
 
         monkeypatch.setattr(models, "_as_arrays", counting_scan)
         monkeypatch.setattr(federation, "loss", counting_loss)
-        w = init_params(model).values
+        w = init_params(model)
         for client in clients:
             scans.clear()
             losses.clear()
@@ -673,7 +699,7 @@ class TestWalkEvaluator:
                           init_seed=1)
         data = synthetic_classification(30, 4, 2, seed=2)
         loss_fn = federation._walk_loss(model, data)
-        w = init_params(model).values
+        w = init_params(model)
         assert loss_fn(w) == loss(model, w, data)
         w[0] = np.inf
         value, _ = models._loss_grad(model, w, data.features, data.targets,

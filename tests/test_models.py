@@ -18,7 +18,6 @@ from fedproj.errors import (
 from fedproj.models import (
     Dataset,
     ModelSpec,
-    ParamVector,
     _as_arrays,
     _CheckedBatch,
     accuracy,
@@ -104,35 +103,26 @@ def test_spec_identity_ignores_its_cached_layout(fields):
         used.input_dim = 2
 
 
-def test_param_vector_groups():
-    m = _mlp_model()
-    w = init_params(m)
-    assert w.dim == m.dim
-    assert w.group("b1").shape == (4,)
-    with pytest.raises(KeyError):
-        w.group("nope")
-    with pytest.raises(ShapeMismatchError):
-        ParamVector(np.zeros(5), m.layout)
-
-
 def test_init_deterministic_and_scaled():
     m = _mlp_model()
     a, b = init_params(m), init_params(m)
-    assert np.array_equal(a.values, b.values)
+    assert a.dtype == np.float64 and a.shape == (m.dim,)
+    assert np.array_equal(a, b)
     other = init_params(ModelSpec(kind="mlp", input_dim=5, output_dim=3,
                                   hidden_dim=4, init_seed=3))
-    assert not np.array_equal(a.values, other.values)
-    assert np.all(a.group("b1") == 0.0) and np.all(a.group("b2") == 0.0)
-    assert np.abs(a.group("w1")).max() <= 1.0 / math.sqrt(5)
-    assert np.abs(a.group("w2")).max() <= 1.0 / math.sqrt(4)
-    assert np.abs(a.group("w1")).max() > 0.0
+    assert not np.array_equal(a, other)
+    g = models._views(m, a)
+    assert np.all(g["b1"] == 0.0) and np.all(g["b2"] == 0.0)
+    assert np.abs(g["w1"]).max() <= 1.0 / math.sqrt(5)
+    assert np.abs(g["w2"]).max() <= 1.0 / math.sqrt(4)
+    assert np.abs(g["w1"]).max() > 0.0
 
 
 # ---------------------------------------------------------------- loss
 
 def test_linear_loss_zero_at_zero_targets():
     m = ModelSpec(kind="linear-regression", input_dim=3, output_dim=1)
-    w = ParamVector(np.zeros(m.dim), m.layout)
+    w = np.zeros(m.dim)
     ds = Dataset(np.arange(12.0).reshape(4, 3), np.zeros(4))
     assert loss(m, w, ds) == 0.0
 
@@ -140,7 +130,7 @@ def test_linear_loss_zero_at_zero_targets():
 def test_logistic_loss_ln_c_at_zero():
     for c in (2, 5):
         m = ModelSpec(kind="logistic-regression", input_dim=4, output_dim=c)
-        w = ParamVector(np.zeros(m.dim), m.layout)
+        w = np.zeros(m.dim)
         ds = synthetic_classification(64, 4, c, seed=3)
         assert loss(m, w, ds) == pytest.approx(math.log(c), rel=1e-12)
 
@@ -155,10 +145,10 @@ def test_mlp_golden_loss_against_scalar_evaluator():
     m = _mlp_model()
     w = init_params(m)
     ds = _mlp_batch()
-    w1 = w.group("w1").reshape(5, 4)
-    b1 = w.group("b1")
-    w2 = w.group("w2").reshape(4, 3)
-    b2 = w.group("b2")
+    w1 = w[0:20].reshape(5, 4)
+    b1 = w[20:24]
+    w2 = w[24:36].reshape(4, 3)
+    b2 = w[36:39]
     total = 0.0
     for i in range(len(ds)):
         hidden = [math.tanh(sum(ds.features[i][p] * w1[p][j] for p in range(5))
@@ -182,12 +172,32 @@ def test_loss_input_validation():
         loss(m, w, Dataset(np.array([[1.0, np.nan, 0.0]]), np.zeros(1)))
     with pytest.raises(NumericError):
         loss(m, w, Dataset(np.ones((1, 3)), np.array([np.inf])))
-    bad_w = ParamVector(np.full(m.dim, np.nan), m.layout)
     with pytest.raises(NumericError):
-        loss(m, bad_w, Dataset(np.ones((1, 3)), np.zeros(1)))
-    mc = ModelSpec(kind="logistic-regression", input_dim=3, output_dim=2)
+        loss(m, np.full(m.dim, np.nan), Dataset(np.ones((1, 3)), np.zeros(1)))
+    with pytest.raises(ShapeMismatchError):
+        loss(m, np.zeros(m.dim + 1), Dataset(np.ones((1, 3)), np.zeros(1)))
+    mc = ModelSpec(kind="logistic-regression", input_dim=3, output_dim=3)
     with pytest.raises(ShapeMismatchError):
         loss(mc, init_params(mc), Dataset(np.ones((2, 3)), np.array([0, 5])))
+    # float class targets that are not finite whole numbers are not truncated
+    for targets in ([0.3, 0.9, 1.7, -0.5], [0.0, 1.0, 2.0, np.nan],
+                    [0.0, 1.0, 2.0, np.inf]):
+        ds = Dataset(np.ones((4, 3)), np.array(targets))
+        with pytest.raises(ShapeMismatchError, match="whole numbers"):
+            loss(mc, init_params(mc), ds)
+        with pytest.raises(ShapeMismatchError, match="whole numbers"):
+            local_sgd(mc, init_params(mc), ds, iters=1, lr=0.1, batch_size=4)
+
+
+def test_whole_float_class_targets_match_integer_ones():
+    m = ModelSpec(kind="logistic-regression", input_dim=3, output_dim=3)
+    x = synthetic_regression(4, 3, seed=2).features
+    as_float = Dataset(x, np.array([0.0, 1.0, 2.0, 1.0]))
+    as_int = Dataset(x, np.array([0, 1, 2, 1]))
+    assert not as_float.is_classification
+    w = init_params(m)
+    assert loss(m, w, as_float) == loss(m, w, as_int)
+    assert np.array_equal(grad(m, w, as_float).values, grad(m, w, as_int).values)
 
 
 # ---------------------------------------------------------------- grad
@@ -197,14 +207,14 @@ def test_grad_zero_at_linear_optimum():
     ds = synthetic_regression(32, 4, seed=9, noise_std=0.05)
     aug = np.hstack([ds.features, np.ones((32, 1))])
     sol = np.linalg.lstsq(aug, ds.targets, rcond=None)[0]
-    w = ParamVector(np.concatenate([sol[:-1], sol[-1:]]), m.layout)
+    w = np.concatenate([sol[:-1], sol[-1:]])
     assert np.abs(grad(m, w, ds).values).max() < 1e-8
 
 
 def test_grad_zero_at_logistic_symmetric_point():
     # identical features, balanced labels: uniform prediction is optimal
     m = ModelSpec(kind="logistic-regression", input_dim=3, output_dim=2)
-    w = ParamVector(np.zeros(m.dim), m.layout)
+    w = np.zeros(m.dim)
     x = np.tile([[0.3, -1.2, 0.7]], (2, 1))
     ds = Dataset(x, np.array([0, 1]))
     assert np.abs(grad(m, w, ds).values).max() < 1e-8
@@ -217,7 +227,7 @@ def test_grad_linear_closed_form():
                               output_dim=2, init_seed=8))
     g = grad(m, w, ds)
     x, y = ds.features, ds.targets
-    resid = x @ w.group("w").reshape(5, 2) + w.group("b") - y
+    resid = x @ w[:10].reshape(5, 2) + w[10:] - y
     np.testing.assert_allclose(g.values[:10], (x.T @ resid / 20).ravel(),
                                rtol=1e-10, atol=1e-14)
     np.testing.assert_allclose(g.values[10:], resid.mean(axis=0),
@@ -240,11 +250,10 @@ def test_grad_matches_central_differences(kind, out_dim, hidden, make_data):
     picks = np.random.default_rng(0).choice(m.dim, size=min(10, m.dim),
                                             replace=False)
     for i in picks:
-        wp, wm = w.values.copy(), w.values.copy()
+        wp, wm = w.copy(), w.copy()
         wp[i] += h
         wm[i] -= h
-        fd = (loss(m, ParamVector(wp, m.layout), ds)
-              - loss(m, ParamVector(wm, m.layout), ds)) / (2 * h)
+        fd = (loss(m, wp, ds) - loss(m, wm, ds)) / (2 * h)
         assert abs(fd - g[i]) / max(abs(g[i]), 1e-4) < 1e-4
 
 
@@ -265,7 +274,7 @@ def _quad_setup():
 def test_sgd_zero_lr_zero_delta():
     m, w, ds = _quad_setup()
     w_end, delta = local_sgd(m, w, ds, iters=5, lr=0.0, batch_size=24)
-    assert np.array_equal(w_end.values, w.values)
+    assert np.array_equal(w_end, w)
     assert np.all(delta.values == 0.0)
 
 
@@ -292,7 +301,7 @@ def test_sgd_delta_equals_start_minus_end():
     for opt in ("sgd", "adam"):
         w_end, delta = local_sgd(m, w, ds, iters=7, lr=0.05, batch_size=8,
                                  accum=2, rng=3, optimizer=opt)
-        np.testing.assert_allclose(w.values - w_end.values, delta.values,
+        np.testing.assert_allclose(w - w_end, delta.values,
                                    rtol=1e-12, atol=1e-15)
 
 
@@ -301,10 +310,10 @@ def test_sgd_bit_identical_reruns():
     kw = dict(iters=6, lr=0.1, batch_size=4, accum=3, rng=11)
     a_end, a_delta = local_sgd(m, w, ds, **kw)
     b_end, b_delta = local_sgd(m, w, ds, **kw)
-    assert np.array_equal(a_end.values, b_end.values)
+    assert np.array_equal(a_end, b_end)
     assert np.array_equal(a_delta.values, b_delta.values)
     c_end, _ = local_sgd(m, w, ds, **{**kw, "rng": 12})
-    assert not np.array_equal(a_end.values, c_end.values)
+    assert not np.array_equal(a_end, c_end)
 
 
 def test_sgd_micro_batches_follow_uniform_stream():
@@ -410,6 +419,12 @@ def test_csv_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_csv(path)
     assert err.value.line == 2
+    with open(path, "w") as fh:
+        fh.write("f0,target\n1.0,1.0\n2.0,1.7\n3.0,0\n")
+    assert load_csv(path).targets[1] == 1.7
+    with pytest.raises(ConfigError, match="1.7 is not a whole number") as err:
+        load_csv(path, classification=True)
+    assert err.value.line == 3
 
 
 def test_npz_roundtrip(tmp_path):
@@ -426,7 +441,7 @@ def test_npz_roundtrip(tmp_path):
 
 def test_predict_and_accuracy():
     m = ModelSpec(kind="logistic-regression", input_dim=2, output_dim=2)
-    w = ParamVector(np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]), m.layout)
+    w = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
     x = np.array([[2.0, 0.0], [-2.0, 0.0]])
     np.testing.assert_array_equal(predict(m, w, x), [0, 1])
     ds = Dataset(x, np.array([0, 1]))
@@ -563,7 +578,7 @@ def test_local_sgd_golden_digest(name, optimizer, accum, batch):
     w_end, delta = local_sgd(m, init_params(m), ds, iters=4, lr=0.1,
                              batch_size=8 if batch == "mini" else len(ds),
                              accum=accum, rng=7, optimizer=optimizer)
-    digest = hashlib.sha256(delta.values.tobytes() + w_end.values.tobytes())
+    digest = hashlib.sha256(delta.values.tobytes() + w_end.tobytes())
     assert digest.hexdigest() == _SGD_DIGESTS[name, optimizer, accum, batch]
 
 

@@ -152,7 +152,7 @@ def test_project_deterministic_repeat():
 def test_project_bits_do_not_depend_on_tile_size(monkeypatch, dim, budget):
     # every coordinate is one full-row dot product, so the row grouping never
     # reaches project's sums; reconstruct's grouping does (PROTOCOL.md)
-    u = UpdateVector(_gauss(21, dim), BlockPartition.single(dim, budget))
+    u = UpdateVector(_gauss(21, dim), BlockPartition((dim,), (budget,)))
     want = project(u, seed=5).block_coords[0]
     for span in (1 << 12, 1 << 19):
         monkeypatch.setattr(projection, "_SPAN", span)
@@ -163,7 +163,7 @@ def test_project_bits_do_not_depend_on_tile_size(monkeypatch, dim, budget):
 def test_reconstruct_bits_do_not_depend_on_column_pieces(monkeypatch, dim, budget):
     # each entry's group sum runs over k in ascending order whatever the
     # column piece holding it, a last piece one column wide included
-    part = BlockPartition.single(dim, budget)
+    part = BlockPartition((dim,), (budget,))
     msg = project(UpdateVector(_gauss(22, dim), part), seed=6)
     want = reconstruct(msg, part).values
     for span in (1 << 6, 1 << 8, 1 << 10, 1 << 17):
@@ -213,7 +213,7 @@ def test_bits_do_not_depend_on_generation_span(monkeypatch, dim, budget):
     # generation spans are elementwise and feed no sum, so basis_tile,
     # project and reconstruct keep their bits at any span size, including
     # spans shorter than one row
-    u = UpdateVector(_gauss(23, dim), BlockPartition.single(dim, budget))
+    u = UpdateVector(_gauss(23, dim), BlockPartition((dim,), (budget,)))
     tile = basis_tile(9, 0, dim, 0, budget)
     msg = project(u, seed=9)
     back = reconstruct(msg, u.partition).values
