@@ -91,11 +91,17 @@ def _check_types(section: dict, target, where: str) -> None:
     """Reject values whose JSON type does not fit ``target``'s annotations.
 
     Only a bool parameter takes true or false, though Python counts them as
-    integers; keys ``target`` does not annotate are left alone.
+    integers; a ``T | None`` parameter also takes null; keys ``target`` does
+    not annotate are left alone.
     """
     hints = typing.get_type_hints(target)
     for key, value in section.items():
         want = hints.get(key)
+        options = typing.get_args(want)
+        if type(None) in options:
+            if value is None:
+                continue
+            want = next(t for t in options if t is not type(None))
         if want not in _JSON_TYPES:
             continue
         accepts, expected = _JSON_TYPES[want]
@@ -182,6 +188,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     federation = FedConfig(**fed_sec)
 
     _reject_unknown(out_sec, _OUTPUT_KEYS, "output")
+    _check_types(out_sec, ExperimentConfig, "output")
     records_csv = _redirect_output(_require(out_sec, "records_csv", "output"))
     summary_json = out_sec.get("summary_json")
     if summary_json is not None:

@@ -5,6 +5,14 @@ branches split on the distance from the median), which keeps the relative
 error well below 1e-9 over the full open unit interval.  The coefficients
 are frozen here so that every installation evaluates the exact same
 polynomials; see PROTOCOL.md.
+
+Basis entries are PPND16's central values rounded to float32, and a block
+only reaches a narrow band |q| <= q_max around the median (q = p - 0.5).
+There ``_ppf_central_f32_inplace`` evaluates a short power series of the
+central rational function in s = q*q instead, and recomputes with PPND16
+every entry whose float64 value lies close enough to a float32 rounding
+midpoint that the two routes could round apart; so the float32 values are
+PPND16's, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +37,29 @@ _B = (
     2.1213794301586595867e4, 3.9307895800092710610e4,
     2.8729085735721942674e4, 5.2264952788528545610e3,
 )
+# Taylor coefficients c_j of the central branch's own rational function
+# N(r0 - s) / D(r0 - s) about s = 0 (N, D the _A, _B polynomials, r0 = 0.180625
+# as a double), each the double nearest the exact value; all are positive.
+# They are not the coefficients of the true inverse cdf.
+_TAYLOR = (
+    2.5066282746310007, 2.6249349909534767,
+    5.772533538671212, 15.667608958085413,
+    47.035787704765895, 149.82979172181513,
+    496.27365205943187, 1689.8653593628196,
+    5873.9949490649215, 20746.39251331968,
+)
+# c_{j+1} <= _TAYLOR_RATIO * c_j for every j: the ratios rise towards
+# 1/0.2535, the distance to the nearest zero of D(r0 - s)
+_TAYLOR_RATIO = 4.0
+_SERIES_MAX_TERMS = 6
+# largest series tail, relative to the value, that a plan accepts
+_SERIES_TAIL = 2.0 ** -46
+# float64 values within this many ulps of a float32 rounding midpoint are
+# recomputed with PPND16; the series stays far closer to PPND16 than this
+_MIDPOINT_ULPS = 1024
+_F32_DROPPED_BITS = (1 << 29) - 1   # float64 mantissa bits float32 rounds off
+_F32_HALF = 1 << 28                 # those bits at a float32 rounding midpoint
+
 # near tail, r = sqrt(-log(min(p, 1-p))) in (1.6, 5]
 _C = (
     1.42343711074968357734e0, 4.63033784615654529590e0,
@@ -64,6 +95,52 @@ def _ppf_central_inplace(p: np.ndarray) -> np.ndarray:
     num *= q
     num /= den
     return num
+
+
+def _central_series_terms(q_max: float) -> int:
+    """Series terms for central values with |q| <= q_max; 0 if none will do.
+
+    The fewest terms n (2 to 6) with c_n s^n / (1 - 4 s) <= 2^-46 c_0 at
+    s = q_max^2: with positive coefficients and ratios at most 4, that
+    bounds the dropped tail relative to the value.
+    """
+    s = q_max * q_max
+    if _TAYLOR_RATIO * s >= 1.0:
+        return 0
+    for n in range(2, _SERIES_MAX_TERMS + 1):
+        if _TAYLOR[n] * s ** n <= _SERIES_TAIL * _TAYLOR[0] * (1.0 - _TAYLOR_RATIO * s):
+            return n
+    return 0
+
+
+def _ppf_central_f32_inplace(p: np.ndarray, terms: int) -> np.ndarray:
+    """_ppf_central_inplace(p) up to float32 rounding, overwriting p.
+
+    ``terms`` comes from _central_series_terms for a bound on |p - 0.5|.
+    Rounded to float32, every value equals PPND16's: the series and PPND16
+    differ by a few hundred float64 ulps at most, so they can round apart
+    only across a float32 midpoint, and every value within _MIDPOINT_ULPS
+    of one is recomputed by _ppf_central_inplace.
+    """
+    p -= 0.5
+    q = p
+    s = q * q
+    x = np.multiply(s, _TAYLOR[terms - 1])
+    x += _TAYLOR[terms - 2]
+    for c in reversed(_TAYLOR[:terms - 2]):
+        x *= s
+        x += c
+    x *= q
+    # dropped bits within M of the midpoint: (bits - (half - M)) mod 2^29 < 2M
+    near = s.view(np.int64)
+    np.subtract(x.view(np.int64), _F32_HALF - _MIDPOINT_ULPS, out=near)
+    near &= _F32_DROPPED_BITS
+    hit = near < 2 * _MIDPOINT_ULPS
+    if hit.any():
+        # a plan keeps |q| far below 0.25, where q = p - 0.5 is exact, so
+        # q + 0.5 is p again
+        x[hit] = _ppf_central_inplace(q[hit] + 0.5)
+    return x
 
 
 def _poly(coeffs, r):

@@ -14,7 +14,9 @@ The entry distribution is a standard normal truncated to ``[-1/sqrt(d),
 +1/sqrt(d)]`` for a block of dimension ``d``, which bounds every chunk's
 2-norm by 1.  ``rho`` is the per-entry second moment of that distribution;
 reconstruction divides by it to stay unbiased.  All derivation constants are
-frozen in PROTOCOL.md.
+frozen in PROTOCOL.md.  An entry is PPND16's inverse-cdf value rounded to
+float32; blocks of about 80 entries and up reach that value through
+``normal``'s cheaper series route, which yields the same float32 bits.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidDimensionError, ShapeMismatchError
-from .normal import SQRT2, _ppf_central_inplace, norm_ppf
+from .normal import (SQRT2, _central_series_terms, _ppf_central_f32_inplace,
+                     _ppf_central_inplace, norm_ppf)
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GAMMA = 0x9E3779B97F4A7C15          # stream increment (splitmix-style)
@@ -173,14 +176,32 @@ class BasisChunk:
         return int(self.values.shape[0])
 
 
+@lru_cache(maxsize=None)
+def _trunc_plan(dim: int) -> tuple[float, float, int]:
+    """A block's inverse-cdf plan: (lo, width, series terms).
+
+    Uniforms map to p = u*width + lo; the series takes ``terms`` terms on
+    that band, and 0 keeps PPND16 itself.
+    """
+    bound = trunc_gauss_stats(dim).bound
+    lo = 0.5 * math.erfc(bound / SQRT2)            # Phi(-bound)
+    width = math.erf(bound / SQRT2)                # Phi(bound) - Phi(-bound)
+    # p lies in [lo, lo + width]; the slack covers its rounding
+    q_max = max(0.5 - lo, lo + width - 0.5) + 2.0 ** -50
+    return lo, width, _central_series_terms(q_max)
+
+
 def _trunc_values_inplace(u: np.ndarray, dim: int, out: np.ndarray) -> None:
-    """Map uniforms in [0,1) to clipped truncated-normal draws for a block, into out."""
-    stats = trunc_gauss_stats(dim)
-    lo = 0.5 * math.erfc(stats.bound / SQRT2)
-    width = math.erf(stats.bound / SQRT2)
+    """Map uniforms in [0,1) to clipped truncated-normal draws for a block, into out.
+
+    The float32 values are PPND16's; from about d = 80 up they come by the
+    cheaper series route of normal._ppf_central_f32_inplace.  Clipping to a
+    float32 bound commutes with rounding to float32, so the clip moves no bit.
+    """
+    lo, width, terms = _trunc_plan(dim)
     u *= width
     u += lo
-    v = _ppf_central_inplace(u)
+    v = _ppf_central_f32_inplace(u, terms) if terms else _ppf_central_inplace(u)
     b = _clip_bound(dim)
     np.clip(v, -b, b, out=v)
     out[...] = v  # float32 out rounds to nearest, as astype(np.float32) does

@@ -120,10 +120,14 @@ def fedkseed_local_step(w: np.ndarray, loss_fn: LossFn, cfg: ZOConfig,
 
 
 def replay_scalar_log(w: np.ndarray, log: ScalarGrads, lr: float) -> np.ndarray:
-    """Re-apply a fedkseed log to a fresh copy of w (no loss evaluations)."""
+    """Re-apply a fedkseed log to a fresh copy of w (no loss evaluations).
+
+    The direction and its scaled step share one buffer for the whole walk.
+    """
     w = np.asarray(getattr(w, "values", w), dtype=np.float64).copy()
     d = w.shape[0]
+    v = np.empty(d, dtype=np.float64)
     for k in range(log.count):
-        v = sample_basis(log.seed, d, k).values.astype(np.float64)
-        w -= (lr * float(log.values[k])) * v
+        v[...] = sample_basis(log.seed, d, k).values
+        w -= np.multiply(v, lr * float(log.values[k]), out=v)
     return w

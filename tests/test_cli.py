@@ -101,6 +101,9 @@ class TestRun:
         ("federation", "total_bases", None),
         ("data", "skew", 5),
         ("federation", "rounds", True),
+        ("output", "records_csv", 5),
+        ("output", "records_csv", None),
+        ("output", "summary_json", ["x"]),
     ])
     def test_wrong_typed_values_exit_2(self, tmp_path, capsys, section, key,
                                        value):
@@ -110,6 +113,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"{section}.{key} must be" in err and json.dumps(value) in err
         assert not (tmp_path / "records.csv").exists()
+
+    def test_null_summary_json_writes_records_only(self, tmp_path):
+        cfg = base_config(tmp_path)
+        cfg["output"]["summary_json"] = None
+        assert main(["run", dump(tmp_path, cfg)]) == 0
+        assert (tmp_path / "records.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
 
     def test_integer_fills_a_float_field(self, tmp_path):
         cfg = base_config(tmp_path, local_lr=1, server_lr=1)

@@ -192,8 +192,9 @@ def test_tile_equals_chunks_any_split():
 
 
 def test_tile_rows_are_clipped_trunc_gauss_streams():
-    # basis_tile and norm_ppf share one PPND16 evaluator, so a row is its
-    # stream's public truncated-normal draws, clipped and rounded to float32
+    # basis_tile's float32 values are PPND16's, whether or not the series
+    # route made them, so a row is its stream's public truncated-normal
+    # draws (norm_ppf), clipped and rounded to float32
     dim, seed, block = 1000, 11, 2
     tile = basis_tile(seed, block, dim, 0, 4)
     bound, clip = trunc_gauss_stats(dim).bound, _clip_bound(dim)
@@ -201,6 +202,24 @@ def test_tile_rows_are_clipped_trunc_gauss_streams():
         stream = trunc_gauss_stream(derive_subseed(seed, 0, 0, block, k), dim, bound)
         np.testing.assert_array_equal(
             tile[k], np.clip(stream, -clip, clip).astype(np.float32))
+
+
+@pytest.mark.parametrize("dim", [100, 256, 1000, 2410, 2560, 4096, 16384,
+                                 65536, 1 << 20, 1 << 22])
+def test_series_route_gives_ppnd16_bytes(dim, monkeypatch):
+    plan = randbasis._trunc_plan
+    assert plan(dim)[2] > 0
+    rows = max(1, (1 << 20) // dim)
+    series = [basis_tile(seed, 1, dim, 3, 3 + rows) for seed in (0, 5, 2 ** 63 + 9)]
+    monkeypatch.setattr(randbasis, "_trunc_plan", lambda dim: plan(dim)[:2] + (0,))
+    for seed, tile in zip((0, 5, 2 ** 63 + 9), series):
+        assert tile.tobytes() == basis_tile(seed, 1, dim, 3, 3 + rows).tobytes()
+
+
+def test_narrow_blocks_only_take_the_series():
+    dims = (1, 10, 80, 256, 2410, 65536, 1 << 22)
+    terms = {d: randbasis._trunc_plan(d)[2] for d in dims}
+    assert terms == {1: 0, 10: 0, 80: 6, 256: 5, 2410: 4, 65536: 3, 1 << 22: 2}
 
 
 # sha256 of basis_tile(seed, block=3, d, 17, 17 + rows).tobytes(), frozen from
