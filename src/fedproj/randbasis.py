@@ -4,8 +4,9 @@ A basis chunk is one pseudo-random direction of a block, regenerable from a
 64-bit seed.  Everything here is counter-based: value ``i`` of a stream is a
 pure function of ``(stream_seed, i)``, so chunks can be produced in any order,
 in parallel, or in tiles without changing a single bit of the output.
-``basis_tile`` fills its output in cache-sized spans of ``_SPAN`` entries;
-every step is elementwise, so the span size changes no bit and no sum.
+``basis_tile`` and ``trunc_gauss_stream`` fill their output in cache-sized
+spans of ``_SPAN`` entries; every step is elementwise, so the span size
+changes no bit and no sum.
 ``sample_basis`` serves each row from a cached group of consecutive rows of
 one stream family, at most one span and 16 rows, so a walk over k shares one
 ``basis_tile`` call per group; for the same reason the grouping moves no bit.
@@ -29,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidDimensionError, ShapeMismatchError
-from .normal import (SQRT2, _central_series_terms, _ppf_central_f32_inplace,
-                     _ppf_central_inplace, norm_ppf)
+from .normal import (_SPAN, SQRT2, _central_series_terms, _ppf_central_f32_inplace,
+                     _ppf_central_inplace, _ppf_span_inplace)
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GAMMA = 0x9E3779B97F4A7C15          # stream increment (splitmix-style)
@@ -42,10 +43,6 @@ _GAMMA_U = _U(GAMMA)
 _M1_U = _U(MIX_MULT_1)
 _M2_U = _U(MIX_MULT_2)
 _TWO_NEG53 = 2.0 ** -53
-
-# generation span in entries: its float64 temporaries stay in L2, where
-# whole-tile temporaries stream through memory about 3x slower per entry
-_SPAN = 1 << 15
 
 # most rows in one sample_basis group: bounds a group miss on a tiny block to
 # 16 derive_subseed calls instead of _SPAN of them
@@ -98,15 +95,24 @@ def _counters(n: int) -> np.ndarray:
     return c
 
 
+def _uniforms(state: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from uint64 counter states, overwriting state: the top
+    53 bits of mix64(state), scaled by 2^-53."""
+    _mix64_array(state)
+    state >>= _U(11)
+    u = state.astype(np.float64)
+    u *= _TWO_NEG53
+    return u
+
+
 def uniform_stream(seed: RandomSeed, n: int, start: int = 0) -> np.ndarray:
     """n doubles in [0, 1): counter-based, value i depends only on (seed, start+i)."""
-    if n < 0:
-        raise InvalidDimensionError("stream length must be non-negative")
+    if n < 0 or start < 0:
+        raise InvalidDimensionError("stream length and start must be non-negative")
     state = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     state *= _GAMMA_U
     state += _U(seed & MASK64)
-    z = _mix64_array(state)
-    return (z >> _U(11)).astype(np.float64) * _TWO_NEG53
+    return _uniforms(state)
 
 
 def _rho(dim: int) -> float:
@@ -151,15 +157,24 @@ def _clip_bound(dim: int) -> float:
 
 
 def trunc_gauss_stream(seed: RandomSeed, n: int, bound: float) -> np.ndarray:
-    """n truncated-normal draws in [-bound, bound] as float64 (inverse-cdf transform)."""
+    """n truncated-normal draws in [-bound, bound] as float64 (inverse-cdf transform).
+
+    Draw i is norm_ppf(u_i * width + lo) for u = uniform_stream(seed, n), made
+    one span at a time, so no temporary is larger than a span.
+    """
     if not (math.isfinite(bound) and bound > 0.0):
         raise InvalidDimensionError("truncation bound must be positive and finite")
+    if n < 0:
+        raise InvalidDimensionError("stream length must be non-negative")
     lo = 0.5 * math.erfc(bound / SQRT2)            # Phi(-bound)
     width = math.erf(bound / SQRT2)                # Phi(bound) - Phi(-bound)
-    u = uniform_stream(seed, n)
-    u *= width
-    u += lo
-    return norm_ppf(u)
+    out = np.empty(n)
+    for a in range(0, n, _SPAN):
+        u = uniform_stream(seed, min(_SPAN, n - a), start=a)
+        u *= width
+        u += lo
+        out[a:a + _SPAN] = _ppf_span_inplace(u)
+    return out
 
 
 @dataclass(frozen=True)
@@ -271,9 +286,6 @@ def basis_tile(seed: RandomSeed, block: int, block_dim: int,
         r1 = min(r0 + rows_per_span, rows)
         for c0 in range(0, block_dim, cols):
             c1 = min(c0 + cols, block_dim)
-            state = row_seeds[r0:r1, None] + counters[c0:c1]
-            z = _mix64_array(state)
-            u = (z >> _U(11)).astype(np.float64)
-            u *= _TWO_NEG53
+            u = _uniforms(row_seeds[r0:r1, None] + counters[c0:c1])
             _trunc_values_inplace(u, block_dim, out[r0:r1, c0:c1])
     return out

@@ -69,7 +69,9 @@ class Series:
 
 def _normal_vec(seed: RandomSeed, n: int) -> np.ndarray:
     # the 2^-54 nudge keeps the 53-bit lattice strictly inside (0, 1)
-    return norm_ppf(uniform_stream(seed, n) + 2.0 ** -54)
+    u = uniform_stream(seed, n)
+    u += 2.0 ** -54
+    return norm_ppf(u)
 
 
 def _sum_sin_sq(x: np.ndarray) -> float:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedproj import normal
-from fedproj.normal import (_A, _B, _SERIES_TAIL, _TAYLOR, _TAYLOR_RATIO,
+from fedproj.normal import (_A, _B, _SERIES_TAIL, _SPAN, _TAYLOR, _TAYLOR_RATIO,
                             _central_series_terms, _ppf_central_f32_inplace,
                             _ppf_central_inplace, norm_ppf)
 
@@ -60,6 +62,62 @@ def test_ppf_rejects_boundaries():
             norm_ppf(bad)
     with pytest.raises(ValueError):
         norm_ppf(np.array([0.5, 0.0]))
+
+
+def test_ppf_rejects_nan():
+    with pytest.raises(ValueError, match="0 < p < 1"):
+        norm_ppf(float("nan"))
+    with pytest.raises(ValueError, match="0 < p < 1"):
+        norm_ppf(np.array([0.3, np.nan]))
+
+
+def _span_boundary_input():
+    """p with central, near-tail and far-tail entries on both sides of each
+    span boundary, over an even grid that reaches every branch in between."""
+    n = 3 * _SPAN + 16
+    p = (np.arange(n, dtype=np.float64) + 0.5) / n
+    kinds = (0.3, 0.7, 0.02, 0.97, 1e-14, 1 - 1e-12, 1e-300, 0.5)
+    for k in range(1, 4):
+        b = k * _SPAN
+        p[b - 8:b] = kinds
+        p[b:b + 8] = kinds[::-1]
+    return p
+
+
+def test_ppf_golden_digest():
+    # recorded before norm_ppf worked in spans: no bit depends on the span
+    got = norm_ppf(_span_boundary_input())
+    assert hashlib.sha256(got.tobytes()).hexdigest() == (
+        "039e13867011d0931f75162245e8ed021cb1969e32b8580881c3eb7d16f8a24d")
+
+
+def test_ppf_span_changes_no_bit(monkeypatch):
+    p = _span_boundary_input()[_SPAN - 300:_SPAN + 300]
+    want = norm_ppf(p)
+    monkeypatch.setattr(normal, "_SPAN", 7)
+    np.testing.assert_array_equal(norm_ppf(p), want)
+    np.testing.assert_array_equal(norm_ppf(p.reshape(20, 30)), want.reshape(20, 30))
+
+
+def test_central_formula_is_finite_over_the_unit_interval():
+    # a span runs the central formula on its tail entries too, then drops them
+    p = np.array([5e-324, 1e-300, 1e-17, 0.01, 0.0749, 0.9251, 0.99, 1 - 2 ** -53])
+    with np.errstate(all="raise"):
+        assert np.all(np.isfinite(_ppf_central_inplace(p)))
+
+
+def test_ppf_memory_stays_span_sized():
+    # 2^20 values need their 8 MiB output plus span-sized temporaries
+    p = _span_boundary_input()
+    p = np.resize(p, 1 << 20)
+    norm_ppf(p[:10])
+    tracemalloc.start()
+    try:
+        out = norm_ppf(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (2 << 20)
 
 
 _R0 = Fraction(0.180625)

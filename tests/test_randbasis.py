@@ -99,6 +99,13 @@ def test_uniform_stream_matches_scalar_reference():
     np.testing.assert_array_equal(got, want)
 
 
+def test_streams_reject_negative_length_and_start():
+    for call in (lambda: uniform_stream(1, -1), lambda: uniform_stream(1, 3, start=-2),
+                 lambda: trunc_gauss_stream(1, -1, 1.0)):
+        with pytest.raises(InvalidDimensionError):
+            call()
+
+
 # ---------------------------------------------------------------- rho
 
 def test_rho_frozen_values():
@@ -317,6 +324,57 @@ def test_trunc_gauss_stream_respects_bound():
     assert vals.dtype == np.float64
     with pytest.raises(InvalidDimensionError):
         trunc_gauss_stream(888, 16, 0.0)
+
+
+# sha256 of trunc_gauss_stream(0x5EED, n, bound) bytes, recorded before the
+# stream was made in spans: no bit depends on the span.  Bound 1/16 stays in
+# PPND16's central branch and 3.0 reaches the near tail; at 40.0 the stream
+# covers nearly all of (0, 1), though its 2^-53 lattice reaches the far tail
+# (p < exp(-25)) too rarely to show here (norm_ppf's own digest covers that).
+# The lengths straddle one and three 2^15-entry spans.
+_STREAM_DIGESTS = {
+    (1 / 16, 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1 / 16, 1): "02f1f691d7e23b18f967a174c005912fce3de3d482a2efc1b3b30cba547d4ba4",
+    (1 / 16, 32_767): "be19243b5ec3b6f6d7aef7c68a07d2c9ef0c5b8857bccb06820253949dc5da2f",
+    (1 / 16, 32_768): "007431054258657272208735af47f320c3695762facb211cf5c37c51d42afe04",
+    (1 / 16, 32_769): "d93d3e658df82d9296fe421e545e3505690fc387f25c0e26f66c01d541fec7aa",
+    (1 / 16, 98_311): "18220e3c424fac1c474a8e60a5b4a05ab8669640d5f55b1c5967fd6593b9ef3d",
+    (1 / 16, 512_000): "97b07f780603b46587b9b05a47fe591809960d19f63ba4121f048036391b49b7",
+    (3.0, 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (3.0, 1): "ed215910042b174d021f1359eb3c5e2dcc13b9da914945d5a8314251c612b3a1",
+    (3.0, 32_767): "b013f7fcef2ca5d5d51a36d2fd0be27d217624736a4324754c69ef7c79d3e34d",
+    (3.0, 32_768): "0cca5ac18b5d70d8cae3e1aee858f93d0890cd00accd63ec348b0adab7cc13eb",
+    (3.0, 32_769): "95e26ffb89fcd37f0f5c7fb943ad2903ac37f0c1c3e4036fd3240c1bc5b57ee9",
+    (3.0, 98_311): "2e609032807af8c247246e1f14fba60b66c00508892bf2432207fe9fad0d6f99",
+    (3.0, 512_000): "48337e571ffc6bbfc82e73efd88f36fab92bb09bf7bd1bcff3bab9ecffda32f7",
+    (40.0, 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (40.0, 1): "3b21a341cdf1042fc8d0334951bbd725723ea3ae858f1a91fc81b2eff094b61c",
+    (40.0, 32_767): "f54f4d24ce26f6f46ffea76fe436bd6128bfaeafe2a5ced8e011fc674f5c763f",
+    (40.0, 32_768): "8d71af950da6df64ca186bcaa1ca39f6642ddd8fcb81df7fab16b11a0c772bc3",
+    (40.0, 32_769): "36da2a701331e9ae11268f345277588ee993d7f9e396c8d9d78e4de368720419",
+    (40.0, 98_311): "5bbe11a121672acd419c1f074d7cb75b1a1480d47b1d75e1820fc89f3bbccdd0",
+    (40.0, 512_000): "829685a5d434fe4e942652eefd94f5cb79d3b86e84941198aa84c69db7b8b95d",
+}
+
+
+@pytest.mark.parametrize("bound,n", sorted(_STREAM_DIGESTS))
+def test_trunc_gauss_stream_golden_digest(bound, n):
+    vals = trunc_gauss_stream(0x5EED, n, bound)
+    assert vals.shape == (n,) and vals.dtype == np.float64
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == _STREAM_DIGESTS[bound, n]
+
+
+def test_trunc_gauss_stream_memory_stays_span_sized():
+    # 2^20 draws need their 8 MiB output plus span-sized temporaries, not the
+    # whole-stream uniforms and inverse-cdf temporaries
+    trunc_gauss_stream(12345, 1, 3.0)
+    tracemalloc.start()
+    try:
+        out = trunc_gauss_stream(12345, 1 << 20, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (2 << 20)
 
 
 def test_sample_basis_validation():

@@ -12,7 +12,7 @@ import pytest
 import fedproj
 from fedproj.errors import ConfigError, InvalidDimensionError
 from fedproj.federation import RoundRecord
-from fedproj.repro import (RECORD_COLUMNS, SERIES_NAMES, Series,
+from fedproj.repro import (RECORD_COLUMNS, SERIES_NAMES, Series, _normal_vec,
                            accuracy_vs_bases, allocation_ablation,
                            build_series, drift_immunity, format_records_csv,
                            format_series_csv, rounds_curve)
@@ -54,6 +54,14 @@ class TestAccuracyVsBases:
     def test_rejects_zero_trials(self):
         with pytest.raises(InvalidDimensionError):
             accuracy_vs_bases(dim=100, budgets=(8,), trials=0)
+
+
+def test_normal_vec_golden_digest():
+    # the verify battery's update vectors reach d = 50,000; recorded before
+    # norm_ppf worked in spans
+    v = _normal_vec(0xABCDEF, 50_000)
+    assert hashlib.sha256(v.tobytes()).hexdigest() == (
+        "e02d20e285992a2fbaedddab17f48828970fe0424fb7da268eb874cb49796332")
 
 
 class TestDriftImmunity:
