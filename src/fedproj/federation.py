@@ -358,6 +358,17 @@ def _zo_local_delta(cfg: FedConfig, model: ModelSpec, w_values: np.ndarray,
     return w_values - cur
 
 
+def _client_sgd(cfg: FedConfig, model: ModelSpec, w_values: np.ndarray,
+                client: ClientDataset, round_index: int) -> np.ndarray:
+    """The client's first-order local run; returns its delta."""
+    _, delta = local_sgd(model, w_values, client.data, iters=cfg.local_iters,
+                         lr=cfg.local_lr, batch_size=cfg.batch_size,
+                         accum=cfg.accum,
+                         rng=_local_rng(cfg, round_index, client.client_id),
+                         optimizer=cfg.optimizer)
+    return delta
+
+
 def client_update_frame(cfg: FedConfig, model: ModelSpec,
                         partition: BlockPartition | None, w_values: np.ndarray,
                         client: ClientDataset, round_index: int) -> bytes:
@@ -368,23 +379,17 @@ def client_update_frame(cfg: FedConfig, model: ModelSpec,
     """
     try:
         if cfg.method in ("subspace", "fedavg"):
-            _, delta = local_sgd(model, w_values, client.data,
-                                 iters=cfg.local_iters, lr=cfg.local_lr,
-                                 batch_size=cfg.batch_size, accum=cfg.accum,
-                                 rng=_local_rng(cfg, round_index, client.client_id),
-                                 optimizer=cfg.optimizer)
+            delta = _client_sgd(cfg, model, w_values, client, round_index)
             if cfg.method == "fedavg":
                 payload = delta
             else:
                 seed = projection_seed(cfg, round_index, client.client_id)
-                tagged = delta.with_partition(partition)
                 payload = (exact_project if cfg.exact_projection else project)(
-                    tagged, seed)
+                    UpdateVector(delta, partition), seed)
         elif cfg.method == "fedzo":
-            delta = _zo_local_delta(cfg, model, w_values, client.data,
-                                    projection_seed(cfg, round_index,
-                                                    client.client_id))
-            payload = UpdateVector(values=delta)
+            payload = _zo_local_delta(cfg, model, w_values, client.data,
+                                      projection_seed(cfg, round_index,
+                                                      client.client_id))
         else:  # fedkseed
             zcfg = ZOConfig(epsilon=cfg.zo_epsilon,
                             num_perturbations=cfg.total_bases,
@@ -426,7 +431,7 @@ def _client_delta(msg: ClientUpdateMsg, state: ExperimentState,
     if isinstance(payload, ProjectedUpdate):
         if state.partition is None:
             raise ProtocolError("projected reply without a partition")
-        return reconstruct(payload, state.partition).values
+        return reconstruct(payload, state.partition)
     if isinstance(payload, ScalarGrads):
         replayed = replay_scalar_log(state.w, payload, lr=cfg.local_lr)
         return state.w - replayed
@@ -536,13 +541,10 @@ def _calibration_norms(cfg: FedConfig, model: ModelSpec, w: np.ndarray,
     """Per-block delta norms from the first round-0 participant's local run."""
     first_id = sample_clients(cfg, 0)[0]
     client = next(c for c in clients if c.client_id == first_id)
-    _, delta = local_sgd(model, w, client.data, iters=cfg.local_iters,
-                         lr=cfg.local_lr, batch_size=cfg.batch_size,
-                         accum=cfg.accum, rng=_local_rng(cfg, 0, first_id),
-                         optimizer=cfg.optimizer)
+    delta = _client_sgd(cfg, model, w, client, 0)
     norms, at = [], 0
     for d in _block_layout(cfg, model):
-        norms.append(float(np.linalg.norm(delta.values[at:at + d])))
+        norms.append(float(np.linalg.norm(delta[at:at + d])))
         at += d
     return np.asarray(norms)
 

@@ -32,7 +32,6 @@ from .errors import (
     NumericError,
     ShapeMismatchError,
 )
-from .projection import UpdateVector
 from .randbasis import RandomSeed, derive_subseed, trunc_gauss_stream, uniform_stream
 
 MODEL_KINDS = ("linear-regression", "logistic-regression", "mlp")
@@ -312,12 +311,12 @@ def loss(model: ModelSpec, w, batch) -> float:
     return value
 
 
-def grad(model: ModelSpec, w, batch) -> UpdateVector:
-    """Analytic gradient of ``loss``; flat, same length as w, unpartitioned."""
+def grad(model: ModelSpec, w, batch) -> np.ndarray:
+    """Analytic gradient of ``loss``: a flat float64 array as long as w."""
     v = _check_params(model, w)
     x, y = _as_arrays(model, batch)
     _, g = _loss_grad(model, v, x, y, want_grad=True)
-    return UpdateVector(values=g)
+    return g
 
 
 def predict(model: ModelSpec, w, features: np.ndarray) -> np.ndarray:
@@ -352,7 +351,7 @@ def _batch_indices(rng: RandomSeed, position: int, batch_size: int,
 
 def local_sgd(model: ModelSpec, w: np.ndarray, dataset: Dataset, iters: int,
               lr: float, batch_size: int, accum: int = 1, rng: RandomSeed = 0,
-              optimizer: str = "sgd") -> tuple[np.ndarray, UpdateVector]:
+              optimizer: str = "sgd") -> tuple[np.ndarray, np.ndarray]:
     """T deterministic local steps; returns (w_end, delta = w_start - w_end).
 
     Each step averages ``accum`` micro-batch gradients taken at the current
@@ -419,7 +418,7 @@ def local_sgd(model: ModelSpec, w: np.ndarray, dataset: Dataset, iters: int,
         acc += step
         np.subtract(v0, acc, out=cur)
 
-    return cur, UpdateVector(values=acc)
+    return cur, acc
 
 
 # ---------------------------------------------------------------- data

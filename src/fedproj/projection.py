@@ -127,41 +127,22 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class UpdateVector:
-    """A dense model update, optionally tagged with a block partition.
-
-    Gradients and training deltas start life unpartitioned; attach the
-    experiment's partition with ``with_partition`` before projecting.
-    """
+    """A dense update laid out by a block partition: ``project``'s input."""
 
     values: np.ndarray
-    partition: BlockPartition | None = None
+    partition: BlockPartition
 
     def __post_init__(self):
+        if not isinstance(self.partition, BlockPartition):
+            raise PartitionError("an update needs a block partition")
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1:
             raise ShapeMismatchError("update values must be a flat vector")
-        if self.partition is not None and v.shape[0] != self.partition.total_dim:
+        if v.shape[0] != self.partition.total_dim:
             raise ShapeMismatchError(
                 f"update has {v.shape[0]} entries, partition expects "
                 f"{self.partition.total_dim}")
         object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
-    def with_partition(self, partition: BlockPartition) -> "UpdateVector":
-        return UpdateVector(values=self.values, partition=partition)
-
-    def _require_partition(self) -> BlockPartition:
-        if self.partition is None:
-            raise PartitionError("update carries no block partition")
-        return self.partition
-
-    def block(self, l: int) -> np.ndarray:
-        part = self._require_partition()
-        o = part.offsets[l]
-        return self.values[o:o + part.block_dims[l]]
 
 
 @dataclass(frozen=True)
@@ -191,12 +172,13 @@ def _tile_rows(dim: int, elems: int) -> int:
 
 def project(update: UpdateVector, seed: RandomSeed) -> ProjectedUpdate:
     """Compress an update to (rho_l K_l)^-1 V_l^T delta_l per block."""
-    part = update._require_partition()
+    part = update.partition
     coords = []
     for l in range(part.num_blocks):
         d_l = part.block_dims[l]
         k_l = part.block_budgets[l]
-        delta = update.block(l)
+        o = part.offsets[l]
+        delta = update.values[o:o + d_l]
         scale = 1.0 / (part.stats[l].rho * k_l)
         gamma = np.empty(k_l, dtype=np.float64)
         step = _tile_rows(d_l, _SPAN)
@@ -215,8 +197,8 @@ def project(update: UpdateVector, seed: RandomSeed) -> ProjectedUpdate:
                            block_coords=tuple(coords))
 
 
-def reconstruct(msg: ProjectedUpdate, partition: BlockPartition) -> UpdateVector:
-    """Regenerate the bases from msg.seed and accumulate sum_k gamma_k v_k per block."""
+def reconstruct(msg: ProjectedUpdate, partition: BlockPartition) -> np.ndarray:
+    """Regenerate the bases from msg.seed; return sum_k gamma_k v_k per block, flat."""
     if msg.version != PROJECTION_VERSION:
         raise ProtocolError(f"unsupported projection version {msg.version}")
     if msg.partition_id != partition.partition_id:
@@ -255,7 +237,7 @@ def reconstruct(msg: ProjectedUpdate, partition: BlockPartition) -> UpdateVector
                 piece[...] = tile[:, c0:c1]
                 acc[c0:c1] += np.einsum("k,kd->d", g64[k0:k1], piece,
                                         out=psum[:c1 - c0], optimize=False)
-    return UpdateVector(values=out, partition=partition)
+    return out
 
 
 def exact_project(update: UpdateVector, seed: RandomSeed) -> ProjectedUpdate:
@@ -264,15 +246,16 @@ def exact_project(update: UpdateVector, seed: RandomSeed) -> ProjectedUpdate:
     Materializes each block's basis and keeps float64 coordinates, so this is
     an oracle for tests and small problems, not the transport path.
     """
-    part = update._require_partition()
+    part = update.partition
     coords = []
     for l in range(part.num_blocks):
         d_l = part.block_dims[l]
         k_l = part.block_budgets[l]
+        o = part.offsets[l]
         v = basis_tile(seed, l, d_l, 0, k_l).astype(np.float64)  # (K_l, d_l)
         gram = v @ v.T
         try:
-            gamma = np.linalg.solve(gram, v @ update.block(l))
+            gamma = np.linalg.solve(gram, v @ update.values[o:o + d_l])
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"block {l}: singular Gram matrix") from exc
         coords.append(gamma)

@@ -156,6 +156,11 @@ def _clip_bound(dim: int) -> float:
     return float(b)
 
 
+def _phi_band(bound: float) -> tuple[float, float]:
+    """(Phi(-bound), Phi(bound) - Phi(-bound)): uniforms map to p = u*width + lo."""
+    return 0.5 * math.erfc(bound / SQRT2), math.erf(bound / SQRT2)
+
+
 def trunc_gauss_stream(seed: RandomSeed, n: int, bound: float) -> np.ndarray:
     """n truncated-normal draws in [-bound, bound] as float64 (inverse-cdf transform).
 
@@ -166,8 +171,7 @@ def trunc_gauss_stream(seed: RandomSeed, n: int, bound: float) -> np.ndarray:
         raise InvalidDimensionError("truncation bound must be positive and finite")
     if n < 0:
         raise InvalidDimensionError("stream length must be non-negative")
-    lo = 0.5 * math.erfc(bound / SQRT2)            # Phi(-bound)
-    width = math.erf(bound / SQRT2)                # Phi(bound) - Phi(-bound)
+    lo, width = _phi_band(bound)
     out = np.empty(n)
     for a in range(0, n, _SPAN):
         u = uniform_stream(seed, min(_SPAN, n - a), start=a)
@@ -198,9 +202,7 @@ def _trunc_plan(dim: int) -> tuple[float, float, int]:
     Uniforms map to p = u*width + lo; the series takes ``terms`` terms on
     that band, and 0 keeps PPND16 itself.
     """
-    bound = trunc_gauss_stats(dim).bound
-    lo = 0.5 * math.erfc(bound / SQRT2)            # Phi(-bound)
-    width = math.erf(bound / SQRT2)                # Phi(bound) - Phi(-bound)
+    lo, width = _phi_band(trunc_gauss_stats(dim).bound)
     # p lies in [lo, lo + width]; the slack covers its rounding
     q_max = max(0.5 - lo, lo + width - 0.5) + 2.0 ** -50
     return lo, width, _central_series_terms(q_max)

@@ -110,7 +110,7 @@ def accuracy_vs_bases(dim: int = 10_000,
                                         basis_index=_LANE_BASES)
             tagged = UpdateVector(values=delta, partition=part)
             sub.append(cosine_similarity(
-                reconstruct(project(tagged, basis_seed), part).values, delta))
+                reconstruct(project(tagged, basis_seed), part), delta))
             zcfg = ZOConfig(epsilon=epsilon, num_perturbations=k,
                             seed=basis_seed)
             est = zo_gradient(_sum_sin_sq, w0, zcfg)
@@ -142,7 +142,7 @@ def drift_immunity(dim: int = 50_000, bases: int = 500,
         for t in steps:
             delta = _descent_delta(w0, lr, t)
             tagged = UpdateVector(values=delta, partition=part)
-            recon = reconstruct(project(tagged, basis_seed), part).values
+            recon = reconstruct(project(tagged, basis_seed), part)
             sums[t][0] += cosine_similarity(recon, delta)
             sums[t][1] += cosine_similarity(zo_est, delta)
     rows = tuple((float(t), sums[t][0] / trials, sums[t][1] / trials)
@@ -184,7 +184,7 @@ def allocation_ablation(block_dims: tuple[int, ...] = (256, 256, 256, 256),
         errs = []
         for part in (uniform, scaled):
             tagged = UpdateVector(values=delta, partition=part)
-            recon = reconstruct(project(tagged, basis_seed), part).values
+            recon = reconstruct(project(tagged, basis_seed), part)
             errs.append(float(np.linalg.norm(recon - delta)) / scale)
         rows.append((float(t), errs[0], errs[1]))
     return Series(name="allocation-ablation",

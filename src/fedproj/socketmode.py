@@ -36,13 +36,11 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import socket
-import struct
 import time
 
 from .errors import DivergedError, ProtocolError
 from .federation import (
     ClientDataset,
-    ExperimentState,
     FedConfig,
     RoundRecord,
     apply_replies,
@@ -54,8 +52,10 @@ from .models import Dataset, ModelSpec
 from .wire import (
     TAG_DONE,
     TAG_SHUTDOWN,
+    decode_failure,
     decode_round,
     encode_done,
+    encode_failure,
     encode_frame,
     encode_round,
     encode_shutdown,
@@ -94,11 +94,6 @@ def _worker_environment():
                 os.environ[name] = value
 
 
-def _encode_failure(client_id: int, iteration: int, message: str) -> bytes:
-    body = struct.pack("<II", client_id & 0xFFFFFFFF, iteration & 0xFFFFFFFF)
-    return encode_frame(TAG_SHUTDOWN, body + message.encode("utf-8"))
-
-
 def _worker_main(host: str, port: int, cfg: FedConfig, model: ModelSpec,
                  clients: list[ClientDataset], partition) -> None:
     sock = socket.create_connection((host, port), timeout=_SOCKET_TIMEOUT)
@@ -117,20 +112,11 @@ def _worker_main(host: str, port: int, cfg: FedConfig, model: ModelSpec,
                     send_frame(sock, client_update_frame(
                         cfg, model, partition, w_values, by_id[cid], round_index))
             except DivergedError as err:
-                send_frame(sock, _encode_failure(
+                send_frame(sock, encode_failure(
                     err.client_id, err.iteration, str(err)))
                 return
     finally:
         sock.close()
-
-
-def _raise_failure(state: ExperimentState, body: bytes) -> None:
-    if len(body) < 8:
-        raise ProtocolError("worker aborted without detail")
-    client_id, iteration = struct.unpack_from("<II", body)
-    raise DivergedError(body[8:].decode("utf-8", errors="replace"),
-                        iteration=iteration, round_index=state.round_index,
-                        client_id=client_id)
 
 
 def _accept_worker(listener: socket.socket, worker) -> socket.socket:
@@ -181,7 +167,10 @@ def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
                 for _ in sample_clients(cfg, state.round_index):
                     reply = recv_frame(conn)
                     if reply.tag == TAG_SHUTDOWN:
-                        _raise_failure(state, reply.body)
+                        client_id, iteration, text = decode_failure(reply.body)
+                        raise DivergedError(text, iteration=iteration,
+                                            round_index=state.round_index,
+                                            client_id=client_id)
                     frames.append(encode_frame(reply.tag, reply.body))
                 wall_local = time.perf_counter() - t0
                 _, record, _ = apply_replies(state, cfg, frames,

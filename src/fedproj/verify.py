@@ -125,7 +125,7 @@ def _check_unbiased(cfg: TheoryCheckConfig):
     acc = np.zeros(d, dtype=np.float64)
     for m in range(trials):
         seed = derive_subseed(cfg.seed, round_index=m + 1, basis_index=2)
-        acc += reconstruct(project(update, seed), part).values
+        acc += reconstruct(project(update, seed), part)
     measured = _rel_err(acc / trials, delta)
     floor = math.sqrt((d - 1) / (k * trials))
     detail = (f"relative norm error of the mean over {trials} seeds at "
@@ -155,7 +155,7 @@ def _check_error_bound(cfg: TheoryCheckConfig):
         for m in range(trials):
             seed = derive_subseed(cfg.seed, client=i + 1, round_index=m + 1,
                                   basis_index=2)
-            errs.append(_rel_err(reconstruct(project(update, seed), part).values,
+            errs.append(_rel_err(reconstruct(project(update, seed), part),
                                  delta))
         mean = float(np.mean(errs))
         worst = max(worst, mean / bound)
@@ -279,7 +279,7 @@ def _check_block_speedup(cfg: TheoryCheckConfig):
     for label, part in (("single", single), ("split", split)):
         update = UpdateVector(values=delta, partition=part)
         t0 = time.perf_counter()
-        recon = reconstruct(project(update, seed), part).values
+        recon = reconstruct(project(update, seed), part)
         timings[label] = time.perf_counter() - t0
         cosines[label] = cosine_similarity(recon, delta)
     speedup = timings["single"] / timings["split"]

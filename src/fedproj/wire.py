@@ -46,6 +46,7 @@ MAX_FRAME_BYTES = 1 << 28
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_FAILURE = struct.Struct("<II")  # client_id, iteration
 
 
 def _need(buf: bytes, offset: int, count: int, what: str) -> None:
@@ -151,9 +152,18 @@ class Frame:
     body: bytes
 
 
-def encode_frame(tag: int, body: bytes = b"") -> bytes:
+def _check_length(length: int) -> None:
+    if length < 1 or length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame length {length} outside [1, {MAX_FRAME_BYTES}]")
+
+
+def _check_tag(tag: int) -> None:
     if tag not in _ALL_TAGS:
         raise ProtocolError(f"unknown frame tag {tag:#04x}")
+
+
+def encode_frame(tag: int, body: bytes = b"") -> bytes:
+    _check_tag(tag)
     length = 1 + len(body)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds the cap")
@@ -163,12 +173,10 @@ def encode_frame(tag: int, body: bytes = b"") -> bytes:
 def decode_frame(buf: bytes) -> tuple[Frame, int]:
     """Decode one frame from the head of buf; returns (frame, bytes consumed)."""
     length, off = _read_u32(buf, 0, "frame length")
-    if length < 1 or length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} outside [1, {MAX_FRAME_BYTES}]")
+    _check_length(length)
     _need(buf, off, length, "frame body")
     tag = buf[off]
-    if tag not in _ALL_TAGS:
-        raise ProtocolError(f"unknown frame tag {tag:#04x}")
+    _check_tag(tag)
     return Frame(tag=tag, body=bytes(buf[off + 1:off + length])), off + length
 
 
@@ -179,8 +187,7 @@ def encode_client_update(client_id: int, round_index: int, payload) -> bytes:
         return encode_frame(TAG_PROJECTED, head + encode_projected(payload))
     if isinstance(payload, ScalarGrads):
         return encode_frame(TAG_SCALAR, head + encode_scalar_grads(payload))
-    values = np.asarray(getattr(payload, "values", payload))
-    return encode_frame(TAG_RAW, head + encode_raw(values))
+    return encode_frame(TAG_RAW, head + encode_raw(payload))
 
 
 def decode_client_update(frame: Frame):
@@ -216,6 +223,21 @@ def encode_shutdown() -> bytes:
     return encode_frame(TAG_SHUTDOWN)
 
 
+def encode_failure(client_id: int, iteration: int, message: str) -> bytes:
+    """A failing worker's SHUTDOWN frame (ids kept to their low 32 bits)."""
+    head = _FAILURE.pack(client_id & 0xFFFFFFFF, iteration & 0xFFFFFFFF)
+    return encode_frame(TAG_SHUTDOWN, head + message.encode("utf-8"))
+
+
+def decode_failure(body: bytes) -> tuple[int, int, str]:
+    """(client_id, iteration, message) from a failing worker's SHUTDOWN body."""
+    if len(body) < _FAILURE.size:
+        raise ProtocolError("worker aborted without detail")
+    client_id, iteration = _FAILURE.unpack_from(body)
+    text = body[_FAILURE.size:].decode("utf-8", errors="replace")
+    return client_id, iteration, text
+
+
 # ---------------------------------------------------------------- sockets
 
 def send_frame(sock, data: bytes) -> None:
@@ -236,10 +258,7 @@ def recv_exact(sock, count: int) -> bytes:
 
 def recv_frame(sock) -> Frame:
     (length,) = _U32.unpack(recv_exact(sock, 4))
-    if length < 1 or length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} outside [1, {MAX_FRAME_BYTES}]")
+    _check_length(length)
     payload = recv_exact(sock, length)
-    tag = payload[0]
-    if tag not in _ALL_TAGS:
-        raise ProtocolError(f"unknown frame tag {tag:#04x}")
-    return Frame(tag=tag, body=payload[1:])
+    _check_tag(payload[0])
+    return Frame(tag=payload[0], body=payload[1:])

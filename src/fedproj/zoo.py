@@ -76,7 +76,7 @@ def zo_gradient(loss_fn: LossFn, w: np.ndarray, cfg: ZOConfig) -> np.ndarray:
     g_k = (loss(w + eps v_k) - loss(w)) / eps, summed in ascending k and
     divided by K once at the end.
     """
-    w = np.asarray(getattr(w, "values", w), dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     d = w.shape[0]
     base = _finite_loss(loss_fn, w, None)
     acc = np.zeros(d, dtype=np.float64)
@@ -102,7 +102,7 @@ def fedkseed_local_step(w: np.ndarray, loss_fn: LossFn, cfg: ZOConfig,
     The iterate, the direction and the probe point each live in one buffer
     for the whole walk, so ``loss_fn`` must not keep the arrays it is given.
     """
-    w = np.asarray(getattr(w, "values", w), dtype=np.float64).copy()
+    w = np.array(w, dtype=np.float64)
     d = w.shape[0]
     vals = np.empty(cfg.num_perturbations, dtype=np.float64)
     v = np.empty(d, dtype=np.float64)
@@ -124,7 +124,7 @@ def replay_scalar_log(w: np.ndarray, log: ScalarGrads, lr: float) -> np.ndarray:
 
     The direction and its scaled step share one buffer for the whole walk.
     """
-    w = np.asarray(getattr(w, "values", w), dtype=np.float64).copy()
+    w = np.array(w, dtype=np.float64)
     d = w.shape[0]
     v = np.empty(d, dtype=np.float64)
     for k in range(log.count):

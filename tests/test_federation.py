@@ -40,7 +40,7 @@ from fedproj.models import (
     synthetic_classification,
     synthetic_regression,
 )
-from fedproj.projection import reconstruct, project
+from fedproj.projection import UpdateVector, reconstruct, project
 from fedproj.randbasis import basis_tile
 
 
@@ -288,7 +288,7 @@ class TestSubspaceRound:
                        batch_size=64, exact_projection=True)
         state = setup_experiment(cfg, model, clients, data)
         w0 = state.w.copy()
-        g = grad(model, state.w, clients[0].data).values
+        g = grad(model, state.w, clients[0].data)
         new_w, _, _ = run_round(state, clients, cfg)
         want = w0 - 2.0 * 0.1 * g
         scale = np.linalg.norm(want - w0)
@@ -310,7 +310,7 @@ class TestSubspaceRound:
                                  iters=cfg.local_iters, lr=cfg.local_lr,
                                  batch_size=cfg.batch_size,
                                  rng=_local_rng(cfg, 0, client.client_id))
-            proj = project(delta.with_partition(part),
+            proj = project(UpdateVector(delta, part),
                            projection_seed(cfg, 0, client.client_id))
             tilde = np.zeros(model.dim)
             for l in range(part.num_blocks):
@@ -341,7 +341,7 @@ class TestFedavgRound:
                                  iters=cfg.local_iters, lr=cfg.local_lr,
                                  batch_size=cfg.batch_size,
                                  rng=_local_rng(cfg, 0, client.client_id))
-            total += delta.values
+            total += delta
         want = w0 - 0.75 * (total / 2)
 
         new_w, _, msgs = run_round(state, clients, cfg)
@@ -491,15 +491,15 @@ class TestProtocolInvariants:
         w0 = state.w.copy()
         _, _, msgs = run_round(state, clients, cfg)
         for msg in msgs:
-            server_side = reconstruct(msg.payload, part).values
+            server_side = reconstruct(msg.payload, part)
             client = clients[msg.client_id]
             _, delta = local_sgd(model, w0, client.data,
                                  iters=cfg.local_iters, lr=cfg.local_lr,
                                  batch_size=cfg.batch_size,
                                  rng=_local_rng(cfg, 0, client.client_id))
-            local = reconstruct(project(delta.with_partition(part),
+            local = reconstruct(project(UpdateVector(delta, part),
                                         projection_seed(cfg, 0, msg.client_id)),
-                                part).values
+                                part)
             assert np.array_equal(server_side, local)
 
     def test_deferred_aggregation_matches_round_for_round(self):
@@ -528,9 +528,9 @@ class TestProtocolInvariants:
                                      iters=cfg.local_iters, lr=cfg.local_lr,
                                      batch_size=cfg.batch_size,
                                      rng=_local_rng(cfg, r, client.client_id))
-                proj = project(delta.with_partition(part),
+                proj = project(UpdateVector(delta, part),
                                projection_seed(cfg, r, client.client_id))
-                total += reconstruct(proj, part).values
+                total += reconstruct(proj, part)
             pending = cfg.server_lr * (total / len(clients))
             assert np.array_equal(engine_w[r], w_cur - pending)
 
@@ -563,7 +563,7 @@ class TestProtocolInvariants:
             final[server_lr] = state.w
         total = np.zeros(model.dim)
         for m in msgs:
-            total += reconstruct(m.payload, part).values
+            total += reconstruct(m.payload, part)
         mean_step = total / len(msgs)
         assert np.array_equal(final[1.0], w0 - mean_step)
         assert np.array_equal(final[2.0], w0 - 2.0 * mean_step)

@@ -197,7 +197,7 @@ def test_whole_float_class_targets_match_integer_ones():
     assert not as_float.is_classification
     w = init_params(m)
     assert loss(m, w, as_float) == loss(m, w, as_int)
-    assert np.array_equal(grad(m, w, as_float).values, grad(m, w, as_int).values)
+    assert np.array_equal(grad(m, w, as_float), grad(m, w, as_int))
 
 
 # ---------------------------------------------------------------- grad
@@ -208,7 +208,7 @@ def test_grad_zero_at_linear_optimum():
     aug = np.hstack([ds.features, np.ones((32, 1))])
     sol = np.linalg.lstsq(aug, ds.targets, rcond=None)[0]
     w = np.concatenate([sol[:-1], sol[-1:]])
-    assert np.abs(grad(m, w, ds).values).max() < 1e-8
+    assert np.abs(grad(m, w, ds)).max() < 1e-8
 
 
 def test_grad_zero_at_logistic_symmetric_point():
@@ -217,7 +217,7 @@ def test_grad_zero_at_logistic_symmetric_point():
     w = np.zeros(m.dim)
     x = np.tile([[0.3, -1.2, 0.7]], (2, 1))
     ds = Dataset(x, np.array([0, 1]))
-    assert np.abs(grad(m, w, ds).values).max() < 1e-8
+    assert np.abs(grad(m, w, ds)).max() < 1e-8
 
 
 def test_grad_linear_closed_form():
@@ -228,9 +228,9 @@ def test_grad_linear_closed_form():
     g = grad(m, w, ds)
     x, y = ds.features, ds.targets
     resid = x @ w[:10].reshape(5, 2) + w[10:] - y
-    np.testing.assert_allclose(g.values[:10], (x.T @ resid / 20).ravel(),
+    np.testing.assert_allclose(g[:10], (x.T @ resid / 20).ravel(),
                                rtol=1e-10, atol=1e-14)
-    np.testing.assert_allclose(g.values[10:], resid.mean(axis=0),
+    np.testing.assert_allclose(g[10:], resid.mean(axis=0),
                                rtol=1e-10, atol=1e-14)
 
 
@@ -245,7 +245,7 @@ def test_grad_matches_central_differences(kind, out_dim, hidden, make_data):
                   hidden_dim=hidden, init_seed=4)
     w = init_params(m)
     ds = make_data()
-    g = grad(m, w, ds).values
+    g = grad(m, w, ds)
     h = 1e-4
     picks = np.random.default_rng(0).choice(m.dim, size=min(10, m.dim),
                                             replace=False)
@@ -260,7 +260,8 @@ def test_grad_matches_central_differences(kind, out_dim, hidden, make_data):
 def test_grad_returns_unpartitioned_update():
     m = ModelSpec(kind="linear-regression", input_dim=3, output_dim=1)
     g = grad(m, init_params(m), synthetic_regression(8, 3, seed=6))
-    assert g.partition is None and g.dim == m.dim
+    assert type(g) is np.ndarray
+    assert g.dtype == np.float64 and g.shape == (m.dim,)
 
 
 # ---------------------------------------------------------------- local_sgd
@@ -274,14 +275,17 @@ def _quad_setup():
 def test_sgd_zero_lr_zero_delta():
     m, w, ds = _quad_setup()
     w_end, delta = local_sgd(m, w, ds, iters=5, lr=0.0, batch_size=24)
+    for out in (w_end, delta):
+        assert type(out) is np.ndarray
+        assert out.dtype == np.float64 and out.shape == (m.dim,)
     assert np.array_equal(w_end, w)
-    assert np.all(delta.values == 0.0)
+    assert np.all(delta == 0.0)
 
 
 def test_sgd_single_full_batch_step_is_lr_times_grad():
     m, w, ds = _quad_setup()
     _, delta = local_sgd(m, w, ds, iters=1, lr=0.25, batch_size=24, accum=1)
-    assert np.array_equal(delta.values, 0.25 * grad(m, w, ds).values)
+    assert np.array_equal(delta, 0.25 * grad(m, w, ds))
 
 
 def test_sgd_descends_quadratic_below_curvature_limit():
@@ -301,7 +305,7 @@ def test_sgd_delta_equals_start_minus_end():
     for opt in ("sgd", "adam"):
         w_end, delta = local_sgd(m, w, ds, iters=7, lr=0.05, batch_size=8,
                                  accum=2, rng=3, optimizer=opt)
-        np.testing.assert_allclose(w - w_end, delta.values,
+        np.testing.assert_allclose(w - w_end, delta,
                                    rtol=1e-12, atol=1e-15)
 
 
@@ -311,7 +315,7 @@ def test_sgd_bit_identical_reruns():
     a_end, a_delta = local_sgd(m, w, ds, **kw)
     b_end, b_delta = local_sgd(m, w, ds, **kw)
     assert np.array_equal(a_end, b_end)
-    assert np.array_equal(a_delta.values, b_delta.values)
+    assert np.array_equal(a_delta, b_delta)
     c_end, _ = local_sgd(m, w, ds, **{**kw, "rng": 12})
     assert not np.array_equal(a_end, c_end)
 
@@ -324,8 +328,8 @@ def test_sgd_micro_batches_follow_uniform_stream():
     for a in range(2):
         u = uniform_stream(9, 5, start=5 * a)
         idx = np.minimum((u * n).astype(np.int64), n - 1)
-        ghat += grad(m, w, ds.take(idx)).values
-    np.testing.assert_allclose(delta.values, ghat / 2, rtol=1e-12, atol=1e-15)
+        ghat += grad(m, w, ds.take(idx))
+    np.testing.assert_allclose(delta, ghat / 2, rtol=1e-12, atol=1e-15)
 
 
 def test_sgd_adam_reduces_loss():
@@ -566,7 +570,7 @@ _SGD_DIGESTS = {
 def test_eval_golden_digest(name):
     m, ds = _golden_task(name)
     w = init_params(m)
-    h = hashlib.sha256(grad(m, w, ds).values.tobytes())
+    h = hashlib.sha256(grad(m, w, ds).tobytes())
     h.update(repr(loss(m, w, ds)).encode())
     h.update(np.asarray(predict(m, w, ds.features)).tobytes())
     assert h.hexdigest() == _EVAL_DIGESTS[name]
@@ -578,7 +582,7 @@ def test_local_sgd_golden_digest(name, optimizer, accum, batch):
     w_end, delta = local_sgd(m, init_params(m), ds, iters=4, lr=0.1,
                              batch_size=8 if batch == "mini" else len(ds),
                              accum=accum, rng=7, optimizer=optimizer)
-    digest = hashlib.sha256(delta.values.tobytes() + w_end.tobytes())
+    digest = hashlib.sha256(delta.tobytes() + w_end.tobytes())
     assert digest.hexdigest() == _SGD_DIGESTS[name, optimizer, accum, batch]
 
 

@@ -75,22 +75,12 @@ def test_update_vector_validation():
         UpdateVector(np.zeros(5), part)
     with pytest.raises(ShapeMismatchError):
         UpdateVector(np.zeros((2, 2)), part)
+    with pytest.raises(TypeError):  # the partition is required
+        UpdateVector(np.arange(4.0))
+    with pytest.raises(PartitionError):
+        UpdateVector(np.arange(4.0), None)
     u = UpdateVector(np.arange(4), part)
-    assert u.values.dtype == np.float64
-
-
-def test_update_vector_partition_is_optional():
-    bare = UpdateVector(np.arange(4.0))
-    assert bare.dim == 4
-    with pytest.raises(PartitionError):
-        bare.block(0)
-    with pytest.raises(PartitionError):
-        project(bare, seed=1)
-    part = BlockPartition((4,), (2,))
-    tagged = bare.with_partition(part)
-    assert tagged.partition is part
-    with pytest.raises(ShapeMismatchError):
-        UpdateVector(np.arange(3.0)).with_partition(part)
+    assert u.values.dtype == np.float64 and u.partition is part
 
 
 # ---------------------------------------------------------------- project
@@ -165,10 +155,10 @@ def test_reconstruct_bits_do_not_depend_on_column_pieces(monkeypatch, dim, budge
     # column piece holding it, a last piece one column wide included
     part = BlockPartition((dim,), (budget,))
     msg = project(UpdateVector(_gauss(22, dim), part), seed=6)
-    want = reconstruct(msg, part).values
+    want = reconstruct(msg, part)
     for span in (1 << 6, 1 << 8, 1 << 10, 1 << 17):
         monkeypatch.setattr(projection, "_SPAN", span)
-        assert np.array_equal(reconstruct(msg, part).values, want)
+        assert np.array_equal(reconstruct(msg, part), want)
 
 
 # sha256 of project's float32 coordinates, block by block, then reconstruct's
@@ -204,7 +194,7 @@ def test_roundtrip_golden_digest(dims, budgets):
     h = hashlib.sha256()
     for coords in msg.block_coords:
         h.update(coords.tobytes())
-    h.update(reconstruct(msg, part).values.tobytes())
+    h.update(reconstruct(msg, part).tobytes())
     assert h.hexdigest() == _ROUNDTRIP_DIGESTS[dims, budgets]
 
 
@@ -216,13 +206,13 @@ def test_bits_do_not_depend_on_generation_span(monkeypatch, dim, budget):
     u = UpdateVector(_gauss(23, dim), BlockPartition((dim,), (budget,)))
     tile = basis_tile(9, 0, dim, 0, budget)
     msg = project(u, seed=9)
-    back = reconstruct(msg, u.partition).values
+    back = reconstruct(msg, u.partition)
     for span in (1 << 10, 1 << 12, 1 << 17):
         monkeypatch.setattr(randbasis, "_SPAN", span)
         assert np.array_equal(basis_tile(9, 0, dim, 0, budget), tile)
         coords = project(u, seed=9).block_coords[0]
         assert np.array_equal(coords, msg.block_coords[0])
-        assert np.array_equal(reconstruct(msg, u.partition).values, back)
+        assert np.array_equal(reconstruct(msg, u.partition), back)
 
 
 def test_blockwise_equals_per_block_oracle():
@@ -243,7 +233,9 @@ def test_blockwise_equals_per_block_oracle():
 def test_reconstruct_zero_roundtrip():
     part = BlockPartition((24,), (3,))
     out = reconstruct(project(UpdateVector(np.zeros(24), part), 1), part)
-    assert np.all(out.values == 0.0)
+    assert type(out) is np.ndarray
+    assert out.dtype == np.float64 and out.shape == (part.total_dim,)
+    assert np.all(out == 0.0)
 
 
 def test_reconstruct_single_coordinate_returns_chunk():
@@ -253,13 +245,13 @@ def test_reconstruct_single_coordinate_returns_chunk():
     msg = ProjectedUpdate(part.partition_id, 13, (coords,))
     out = reconstruct(msg, part)
     want = basis_tile(13, 0, 40, 2, 3)[0].astype(np.float64)
-    np.testing.assert_array_equal(out.values, want)
+    np.testing.assert_array_equal(out, want)
 
 
 def test_roundtrip_matches_materialized_oracle():
     part = BlockPartition((512,), (16,))
     delta = _gauss(6, 512)
-    got = reconstruct(project(UpdateVector(delta, part), seed=21), part).values
+    got = reconstruct(project(UpdateVector(delta, part), seed=21), part)
     v = _materialize(21, part, 0)  # (16, 512)
     scale = 1.0 / (part.stats[0].rho * 16)
     coords32 = (scale * (v @ delta)).astype(np.float32)
@@ -270,7 +262,7 @@ def test_roundtrip_matches_materialized_oracle():
 def test_roundtrip_multiblock_matches_oracle():
     part = BlockPartition((100, 156), (8, 8))
     delta = _gauss(7, 256)
-    got = reconstruct(project(UpdateVector(delta, part), seed=2), part).values
+    got = reconstruct(project(UpdateVector(delta, part), seed=2), part)
     for l, (off, d_l, k_l) in enumerate(zip(part.offsets, part.block_dims,
                                             part.block_budgets)):
         v = _materialize(2, part, l)
@@ -313,7 +305,7 @@ def test_unbiasedness_error_scales_as_inverse_sqrt_trials():
     acc = np.zeros(d)
     errs, marks = [], (100, 1000, 10_000)
     for s in range(seeds):
-        acc += reconstruct(project(u, seed=s), part).values
+        acc += reconstruct(project(u, seed=s), part)
         if s + 1 in marks:
             errs.append(np.linalg.norm(acc / (s + 1) - delta))
     slope = np.polyfit(np.log10(marks), np.log10(errs), 1)[0]
@@ -332,7 +324,7 @@ def test_error_bound_holds_over_trials():
     norm = np.linalg.norm(delta)
     rels = []
     for s in range(trials):
-        err = reconstruct(project(u, seed=1000 + s), part).values - delta
+        err = reconstruct(project(u, seed=1000 + s), part) - delta
         rels.append(np.linalg.norm(err) / norm)
     assert np.mean(rels) <= bound
     assert max(rels) <= bound
@@ -346,7 +338,7 @@ def test_cosine_improves_with_budget():
     for k in (16, 64, 256):
         part = BlockPartition((d,), (k,))
         u = UpdateVector(delta, part)
-        cs = [cosine_similarity(reconstruct(project(u, seed=s), part).values,
+        cs = [cosine_similarity(reconstruct(project(u, seed=s), part),
                                 delta) for s in range(5)]
         means.append(np.mean(cs))
     assert means[0] < means[1] < means[2]
@@ -359,7 +351,7 @@ def test_exact_project_interpolates_when_square():
     part = BlockPartition((d,), (d,))
     delta = _gauss(13, d)
     out = reconstruct(exact_project(UpdateVector(delta, part), seed=3), part)
-    assert np.linalg.norm(out.values - delta) / np.linalg.norm(delta) < 1e-5
+    assert np.linalg.norm(out - delta) / np.linalg.norm(delta) < 1e-5
 
 
 def test_exact_project_residual_optimality():

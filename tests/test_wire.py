@@ -16,6 +16,7 @@ from fedproj.wire import (
     TAG_SHUTDOWN,
     Frame,
     decode_client_update,
+    decode_failure,
     decode_frame,
     decode_projected,
     decode_raw,
@@ -23,6 +24,7 @@ from fedproj.wire import (
     decode_scalar_grads,
     encode_client_update,
     encode_done,
+    encode_failure,
     encode_frame,
     encode_projected,
     encode_raw,
@@ -62,8 +64,8 @@ def test_projected_roundtrip_bit_exact():
 
 def test_reconstruction_survives_the_codec():
     msg, part = _sample_projected()
-    direct = reconstruct(msg, part).values
-    routed = reconstruct(decode_projected(encode_projected(msg)), part).values
+    direct = reconstruct(msg, part)
+    routed = reconstruct(decode_projected(encode_projected(msg)), part)
     assert np.array_equal(direct, routed)
 
 
@@ -85,7 +87,7 @@ def test_raw_roundtrip():
 def test_client_update_envelope_all_payloads():
     msg, part = _sample_projected()
     grads = ScalarGrads(seed=5, values=np.arange(4.0))
-    raw = UpdateVector(np.arange(6.0))
+    raw = np.arange(6.0)
     for payload, tag in ((msg, TAG_PROJECTED), (grads, TAG_SCALAR), (raw, TAG_RAW)):
         buf = encode_client_update(9, 3, payload)
         frame, used = decode_frame(buf)
@@ -94,7 +96,7 @@ def test_client_update_envelope_all_payloads():
         cid, rnd, back = decode_client_update(frame)
         assert (cid, rnd) == (9, 3)
         if tag == TAG_RAW:
-            assert np.array_equal(back, raw.values)
+            assert np.array_equal(back, raw)
 
 
 def test_frames_concatenate_and_stream():
@@ -104,6 +106,13 @@ def test_frames_concatenate_and_stream():
     assert first.tag == TAG_DONE
     assert second.tag == TAG_SHUTDOWN and second.body == b""
     assert used + used2 == len(buf)
+    # a failing worker's SHUTDOWN: u32 client_id | u32 iteration | utf-8 text
+    failure, _ = decode_frame(encode_failure(3, 7, "local loss diverged \u2192 nan"))
+    assert failure.tag == TAG_SHUTDOWN
+    assert failure.body[:8] == b"\x03\x00\x00\x00\x07\x00\x00\x00"
+    assert decode_failure(failure.body) == (3, 7, "local loss diverged \u2192 nan")
+    with pytest.raises(ProtocolError, match="^worker aborted without detail$"):
+        decode_failure(failure.body[:7])
 
 
 def test_round_frame_roundtrip():
@@ -134,7 +143,7 @@ def test_error_paths():
     with pytest.raises(ProtocolError):
         decode_projected(b"\x01\x00\x00\x00\x00")  # no seed
     with pytest.raises(ProtocolError):
-        encode_client_update(1 << 32, 0, UpdateVector(np.ones(2)))
+        encode_client_update(1 << 32, 0, np.ones(2))
     with pytest.raises(ProtocolError):
         encode_scalar_grads(ScalarGrads(seed=-1, values=np.ones(1)))
     with pytest.raises(ProtocolError):
@@ -182,3 +191,19 @@ def test_max_frame_guard():
     with pytest.raises(ProtocolError):
         decode_frame(huge + b"x" * 8)
     assert decode_frame(encode_done(3))[0].body == b"\x03\x00\x00\x00"
+    # the buffer and the socket reader reject a bad header with one message
+    for head, msg in (
+            (b"\x00\x00\x00\x00", r"frame length 0 outside \[1, "),
+            ((MAX_FRAME_BYTES + 1).to_bytes(4, "little"), "outside"),
+            (b"\x01\x00\x00\x00\x55", "unknown frame tag 0x55")):
+        with pytest.raises(ProtocolError, match=msg) as buffered:
+            decode_frame(head)
+        server, client = socket.socketpair()
+        try:
+            client.sendall(head)
+            with pytest.raises(ProtocolError) as streamed:
+                recv_frame(server)
+        finally:
+            server.close()
+            client.close()
+        assert str(streamed.value) == str(buffered.value)

@@ -3,7 +3,6 @@ import pytest
 
 from fedproj import randbasis
 from fedproj.errors import InvalidDimensionError, NumericError
-from fedproj.projection import BlockPartition, UpdateVector
 from fedproj.randbasis import basis_tile
 from fedproj.zoo import (
     ScalarGrads,
@@ -99,15 +98,6 @@ def test_reconstruct_matches_materialized_oracle():
     out = zo_gradient(lambda w: float(next(script)), np.zeros(d), cfg)
     want = _directions(4, d, k).T @ vals / k
     np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-15)
-
-
-def test_accepts_update_vector_input():
-    part = BlockPartition((8,), (2,))
-    u = UpdateVector(np.full(8, 0.5), part)
-    cfg = ZOConfig(epsilon=1e-3, num_perturbations=2, seed=9)
-    a = zo_gradient(lambda w: float(w.sum()), u, cfg)
-    b = zo_gradient(lambda w: float(w.sum()), np.full(8, 0.5), cfg)
-    np.testing.assert_array_equal(a, b)
 
 
 def test_zero_function_reconstructs_zero():
