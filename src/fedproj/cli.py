@@ -17,7 +17,7 @@ config / unknown name / infeasible sizes, 3 the run diverged.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -39,27 +39,13 @@ from . import wire
 
 OUTPUT_DIR_ENV = "FEDPROJ_OUTPUT_DIR"
 
-DATA_SOURCES = ("synthetic-regression", "synthetic-classification",
-                "csv", "npz")
-
-# accepted keys per config section; anything else is rejected by name
-_MODEL_KEYS = ("kind", "input_dim", "output_dim", "hidden_dim", "init_seed")
 _DATA_BUILDERS = {
     "synthetic-regression": synthetic_regression,
     "synthetic-classification": synthetic_classification,
     "csv": load_csv,
     "npz": load_npz,
 }
-_DATA_KEYS = {
-    "synthetic-regression": ("n", "input_dim", "output_dim", "seed",
-                             "noise_std"),
-    "synthetic-classification": ("n", "input_dim", "num_classes", "seed",
-                                 "margin_noise"),
-    "csv": ("path",),
-    "npz": ("path",),
-}
-_OUTPUT_KEYS = ("records_csv", "summary_json")
-_FED_KEYS = tuple(f.name for f in dataclasses.fields(FedConfig))
+DATA_SOURCES = tuple(_DATA_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -75,16 +61,10 @@ class ExperimentConfig:
     raw: dict
 
 
-def _reject_unknown(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}; "
-                          f"allowed: {', '.join(allowed)}")
-
-
 # the JSON values each annotated parameter type accepts, and how to say so
 _JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-               float: ((int, float), "a number"), str: ((str,), "a string")}
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               dict: ((dict,), "an object")}
 
 
 def _check_types(section: dict, target, where: str) -> None:
@@ -111,38 +91,25 @@ def _check_types(section: dict, target, where: str) -> None:
                               f"got {json.dumps(value)}")
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return section[key]
+def _arguments(section: dict, target, where: str, held=()) -> dict:
+    """``section`` as keyword arguments of ``target``, checked by its signature.
 
-
-def _build_dataset(section: dict, model: ModelSpec) -> Dataset:
-    source = _require(section, "source", "data")
-    if source not in DATA_SOURCES:
-        raise ConfigError(f"unknown data source {source!r}; expected one of "
-                          + ", ".join(DATA_SOURCES))
-    body = {k: v for k, v in section.items() if k not in ("source", "skew")}
-    _reject_unknown(body, _DATA_KEYS[source], f"data ({source})")
-    _check_types(body, _DATA_BUILDERS[source], "data")
-    if source == "synthetic-regression":
-        return synthetic_regression(n=_require(body, "n", "data"),
-                                    input_dim=_require(body, "input_dim", "data"),
-                                    output_dim=body.get("output_dim", 1),
-                                    seed=body.get("seed", 0),
-                                    noise_std=body.get("noise_std", 0.1))
-    if source == "synthetic-classification":
-        return synthetic_classification(n=_require(body, "n", "data"),
-                                        input_dim=_require(body, "input_dim", "data"),
-                                        num_classes=_require(body, "num_classes", "data"),
-                                        seed=body.get("seed", 0),
-                                        margin_noise=body.get("margin_noise", 0.5))
-    path = _require(body, "path", "data")
-    if not os.path.exists(path):
-        raise ConfigError(f"data path does not exist: {path}")
-    if source == "csv":
-        return load_csv(path, classification=model.kind != "linear-regression")
-    return load_npz(path)
+    Every key must name a parameter of ``target`` other than the ``held``
+    ones, every parameter without a default must be given, and every value
+    must fit its parameter's annotation.
+    """
+    params = [p for p in inspect.signature(target).parameters.values()
+              if p.name not in held]
+    allowed = [p.name for p in params]
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}; "
+                          f"allowed: {', '.join(allowed)}")
+    for p in params:
+        if p.default is p.empty and p.name not in section:
+            raise ConfigError(f"missing required key {p.name!r} in {where}")
+    _check_types(section, target, where)
+    return section
 
 
 def _redirect_output(path: str) -> str:
@@ -166,39 +133,46 @@ def load_experiment_config(path: str) -> ExperimentConfig:
                           line=exc.lineno, column=exc.colno) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    _reject_unknown(raw, ("model", "data", "federation", "output"), "config")
-    model_sec = _require(raw, "model", "config")
-    data_sec = _require(raw, "data", "config")
-    fed_sec = _require(raw, "federation", "config")
-    out_sec = _require(raw, "output", "config")
+    return _experiment(raw, **_arguments(raw, _experiment, "config",
+                                         held=("raw",)))
 
-    _reject_unknown(model_sec, _MODEL_KEYS, "model")
-    _check_types(model_sec, ModelSpec, "model")
-    model = ModelSpec(**model_sec)
 
-    dataset = _build_dataset(data_sec, model)
-    skew = data_sec.get("skew", "iid")
+def _experiment(raw: dict, model: dict, data: dict, federation: dict,
+                output: dict) -> ExperimentConfig:
+    """Build each section's object from its keys; ``raw`` is the whole file."""
+    spec = ModelSpec(**_arguments(model, ModelSpec, "model"))
+
+    if "source" not in data:
+        raise ConfigError("missing required key 'source' in data")
+    if data["source"] not in DATA_SOURCES:
+        raise ConfigError(f"unknown data source {data['source']!r}; expected "
+                          "one of " + ", ".join(DATA_SOURCES))
+    builder = _DATA_BUILDERS[data["source"]]
+    body = {k: v for k, v in data.items() if k not in ("source", "skew")}
+    _arguments(body, builder, "data", held=("classification",))
+    skew = data.get("skew", "iid")
     _check_types({"skew": skew}, partition_data, "data")
-    if dataset.num_features != model.input_dim:
+    if "path" in body and not os.path.exists(body["path"]):
+        raise ConfigError(f"data path does not exist: {body['path']}")
+    if builder is load_csv:
+        body["classification"] = spec.kind != "linear-regression"
+    dataset = builder(**body)
+    if dataset.num_features != spec.input_dim:
         raise ConfigError(f"data has {dataset.num_features} features but the "
-                          f"model expects {model.input_dim}")
+                          f"model expects {spec.input_dim}")
 
-    _reject_unknown(fed_sec, _FED_KEYS, "federation")
-    _check_types(fed_sec, FedConfig, "federation")
-    federation = FedConfig(**fed_sec)
-
-    _reject_unknown(out_sec, _OUTPUT_KEYS, "output")
-    _check_types(out_sec, ExperimentConfig, "output")
-    records_csv = _redirect_output(_require(out_sec, "records_csv", "output"))
-    summary_json = out_sec.get("summary_json")
-    if summary_json is not None:
-        summary_json = _redirect_output(summary_json)
-
-    return ExperimentConfig(model=model, federation=federation,
-                            dataset=dataset,
-                            skew=skew,
-                            records_csv=records_csv,
+    fed = FedConfig(**_arguments(federation, FedConfig, "federation"))
+    records_csv, summary_json = _output_paths(
+        **_arguments(output, _output_paths, "output"))
+    return ExperimentConfig(model=spec, federation=fed, dataset=dataset,
+                            skew=skew, records_csv=records_csv,
                             summary_json=summary_json, raw=raw)
+
+
+def _output_paths(records_csv: str, summary_json: str | None = None):
+    """The output section's paths, moved under the output-directory override."""
+    return (_redirect_output(records_csv),
+            None if summary_json is None else _redirect_output(summary_json))
 
 
 def _write_text(path: str, text: str) -> None:

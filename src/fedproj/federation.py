@@ -37,6 +37,7 @@ from .errors import (
     ProtocolError,
 )
 from .models import (
+    OPTIMIZERS,
     Dataset,
     ModelSpec,
     _CheckedBatch,
@@ -107,6 +108,14 @@ class FedConfig:
             raise InvalidDimensionError("need at least one basis")
         if not 0.0 < self.participation <= 1.0:
             raise InvalidDimensionError("participation must lie in (0, 1]")
+        if self.batch_size < 1 or self.accum < 1:
+            raise InvalidDimensionError("batch_size and accum must be >= 1")
+        if not (math.isfinite(self.local_lr) and self.local_lr >= 0.0):
+            raise InvalidDimensionError("local_lr must be finite and >= 0")
+        if not math.isfinite(self.server_lr):
+            raise InvalidDimensionError("server_lr must be finite")
+        if not (math.isfinite(self.zo_epsilon) and self.zo_epsilon > 0.0):
+            raise InvalidDimensionError("zo_epsilon must be finite and > 0")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; options {METHODS}")
         if self.partition_policy not in PARTITION_POLICIES:
@@ -115,6 +124,9 @@ class FedConfig:
             raise ConfigError(f"unknown allocation policy {self.allocation_policy!r}")
         if self.seed_policy not in SEED_POLICIES:
             raise ConfigError(f"unknown seed policy {self.seed_policy!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}; "
+                              f"options {OPTIMIZERS}")
 
     @property
     def clients_per_round(self) -> int:
@@ -235,7 +247,7 @@ def _parse_skew(skew: str) -> tuple[str, float]:
             alpha = float(skew[len("label-skew("):-1])
         except ValueError:
             alpha = -1.0
-        if alpha > 0.0:
+        if 0.0 < alpha < math.inf:
             return "label-skew", alpha
     raise PartitionError(
         f"unknown skew {skew!r}; use 'iid' or 'label-skew(alpha)'")

@@ -103,22 +103,34 @@ class ModelSpec:
         if self.kind in ("logistic-regression", "mlp") and self.output_dim < 2:
             raise InvalidDimensionError("classification needs >= 2 classes")
 
-    # layout, dim and the slab plan are derived from the fields once, on first
+    # the slab plan, layout and dim are derived from the fields once, on first
     # use; they are cached outside the fields, so equality, hash and repr see
     # the fields only, and __getstate__ keeps them out of pickles
     @cached_property
-    def layout(self) -> tuple[tuple[str, int, int], ...]:
-        """Named (name, offset, size) parameter groups, contiguous from 0."""
+    def _slabs(self) -> tuple[tuple[str, int, int, tuple[int, ...], int], ...]:
+        """(name, start, stop, shape, fan_in) of each parameter group.
+
+        The one table of groups: its order is the layout order, and a fan-in
+        of 0 marks a bias, which ``init_params`` leaves at zero.
+        """
         p, c, h = self.input_dim, self.output_dim, self.hidden_dim
         if self.kind == "mlp":
-            sizes = (("w1", p * h), ("b1", h), ("w2", h * c), ("b2", c))
+            groups = (("w1", (p, h), p), ("b1", (h,), 0),
+                      ("w2", (h, c), h), ("b2", (c,), 0))
         else:
-            sizes = (("w", p * c), ("b", c))
+            groups = (("w", (p, c), p), ("b", (c,), 0))
         out, off = [], 0
-        for name, size in sizes:
-            out.append((name, off, size))
+        for name, shape, fan_in in groups:
+            size = math.prod(shape)
+            out.append((name, off, off + size, shape, fan_in))
             off += size
         return tuple(out)
+
+    @cached_property
+    def layout(self) -> tuple[tuple[str, int, int], ...]:
+        """Named (name, offset, size) parameter groups, contiguous from 0."""
+        return tuple((name, start, stop - start)
+                     for name, start, stop, _, _ in self._slabs)
 
     @cached_property
     def dim(self) -> int:
@@ -129,33 +141,19 @@ class ModelSpec:
         """Group sizes in layout order; the natural partition boundaries."""
         return tuple(size for _, _, size in self.layout)
 
-    @cached_property
-    def _slabs(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
-        """(name, start, stop, shape) of each group's view of a flat vector."""
-        p, c, h = self.input_dim, self.output_dim, self.hidden_dim
-        shapes = {"w": (p, c), "b": (c,), "w1": (p, h), "b1": (h,),
-                  "w2": (h, c), "b2": (c,)}
-        return tuple((name, off, off + size, shapes[name])
-                     for name, off, size in self.layout)
-
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def _fan_in(self, name: str) -> int:
-        return {"w": self.input_dim, "w1": self.input_dim,
-                "w2": self.hidden_dim}.get(name, 0)
 
 
 def init_params(model: ModelSpec) -> np.ndarray:
     """Truncated-normal weights with per-group 1/sqrt(fan_in) bound; zero biases."""
     vals = np.zeros(model.dim, dtype=np.float64)
-    for g, (name, off, size) in enumerate(model.layout):
-        fan_in = model._fan_in(name)
+    for g, (_, start, stop, _, fan_in) in enumerate(model._slabs):
         if fan_in == 0:
             continue
         sub = derive_subseed(model.init_seed, block=g)
-        vals[off:off + size] = trunc_gauss_stream(
-            sub, size, bound=1.0 / math.sqrt(fan_in))
+        vals[start:stop] = trunc_gauss_stream(
+            sub, stop - start, bound=1.0 / math.sqrt(fan_in))
     return vals
 
 
@@ -229,7 +227,7 @@ def _check_params(model: ModelSpec, w: np.ndarray) -> np.ndarray:
 
 def _views(model: ModelSpec, v: np.ndarray) -> dict[str, np.ndarray]:
     return {name: v[start:stop].reshape(shape)
-            for name, start, stop, shape in model._slabs}
+            for name, start, stop, shape, _ in model._slabs}
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

@@ -13,9 +13,10 @@ correct implementation can pass it; the report says so in its detail.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -32,24 +33,22 @@ from .repro import (_normal_vec, accuracy_vs_bases, allocation_ablation,
 from .socketmode import run_experiment_sockets
 from .zoo import ZOConfig, zo_gradient
 
-CHECK_NAMES = (
-    "unbiased",
-    "error-bound",
-    "zo-connection",
-    "rho-rate",
-    "accuracy-vs-bases",
-    "drift-immunity",
-    "block-speedup",
-    "allocation",
-    "convergence",
-    "accounting",
-    "determinism",
-)
+# a check that runs one size takes dims and budgets under these names
+_ONE_SIZE = {"dims": "dim", "budgets": "budget"}
 
 
 @dataclass(frozen=True)
 class TheoryCheckConfig:
-    """Knobs for one check; unset fields fall back to the check's defaults."""
+    """One named check, its seed, and the overrides it runs with.
+
+    An unset (None) override takes the default that the check declares as a
+    keyword parameter of its ``_check_*`` function.  Construction raises
+    ``ConfigError`` for an override the check does not read, for more than
+    one ``dims`` or ``budgets`` entry on a check that runs one size, and for
+    ``error-bound`` dims and budgets of unequal length.  ``beta``,
+    ``sigma_sq`` and ``init_gap`` are the smoothness, gradient-variance and
+    initial-gap constants the convergence rate statement is phrased in.
+    """
 
     which: str
     seed: RandomSeed = 2024
@@ -58,11 +57,9 @@ class TheoryCheckConfig:
     budgets: tuple[int, ...] | None = None
     tolerance: float | None = None
     epsilon: float | None = None
-    # smoothness / gradient-variance / initial-gap constants that the
-    # convergence rate statement is phrased in
-    beta: float = 1.0
-    sigma_sq: float = 1.0
-    init_gap: float = 1.0
+    beta: float | None = None
+    sigma_sq: float | None = None
+    init_gap: float | None = None
 
     def __post_init__(self):
         if self.which not in CHECK_NAMES:
@@ -70,12 +67,9 @@ class TheoryCheckConfig:
             raise ConfigError(f"unknown check {self.which!r}; expected one of {known}")
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise ConfigError("tolerance must be positive")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise ConfigError("epsilon must be positive")
-        for name in ("beta", "sigma_sq", "init_gap"):
-            if not getattr(self, name) > 0:
+        for name in ("tolerance", "epsilon", "beta", "sigma_sq", "init_gap"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("dims", "budgets"):
             vals = getattr(self, name)
@@ -83,6 +77,34 @@ class TheoryCheckConfig:
                 continue
             if len(vals) == 0 or any(int(v) != v or v < 1 for v in vals):
                 raise ConfigError(f"{name} must be positive integers")
+        _check_arguments(self)
+
+
+def _check_arguments(cfg: TheoryCheckConfig) -> dict:
+    """The overrides ``cfg`` sets, as keyword arguments of its check."""
+    params = inspect.signature(_CHECKS[cfg.which]).parameters
+    kwargs = {}
+    for f in fields(cfg)[2:]:  # the overrides: every field after which, seed
+        value, one = getattr(cfg, f.name), _ONE_SIZE.get(f.name)
+        if value is None:
+            continue
+        if f.name in params:
+            kwargs[f.name] = value
+        elif one not in params:
+            raise ConfigError(f"check {cfg.which} does not read {f.name}; it "
+                              f"reads {', '.join(list(params)[1:]) or 'none'}")
+        elif len(value) > 1:
+            raise ConfigError(f"check {cfg.which} runs one size; {f.name} has "
+                              f"{len(value)} entries")
+        else:
+            kwargs[one] = value[0]
+    if "dims" in params and "budgets" in params:  # error-bound pairs them
+        dims, budgets = (len(kwargs.get(n, params[n].default))
+                         for n in ("dims", "budgets"))
+        if dims != budgets:
+            raise ConfigError(f"check {cfg.which} pairs dims with budgets; got "
+                              f"{dims} dims and {budgets} budgets")
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -108,39 +130,35 @@ def _rel_err(recon: np.ndarray, delta: np.ndarray) -> float:
     return float(np.linalg.norm(recon - delta) / np.linalg.norm(delta))
 
 
-def _check_unbiased(cfg: TheoryCheckConfig):
+def _check_unbiased(root: RandomSeed, dim=256, budget=16, trials=20_000,
+                    tolerance=0.02):
     """Monte Carlo mean of reconstructions against the original update.
 
     The mean over M seeds of an unbiased estimator still carries noise
     ~sqrt((d-1)/(K*M)) in relative norm, which at the default sizes is
     above the default tolerance, so this check fails by construction.
     """
-    d = (cfg.dims or (256,))[0]
-    k = (cfg.budgets or (16,))[0]
-    trials = cfg.trials if cfg.trials is not None else 20_000
-    tol = cfg.tolerance if cfg.tolerance is not None else 0.02
+    d, k = dim, budget
     part = BlockPartition((d,), (k,))
-    delta = _normal_vec(derive_subseed(cfg.seed, basis_index=1), d)
+    delta = _normal_vec(derive_subseed(root, basis_index=1), d)
     update = UpdateVector(values=delta, partition=part)
     acc = np.zeros(d, dtype=np.float64)
     for m in range(trials):
-        seed = derive_subseed(cfg.seed, round_index=m + 1, basis_index=2)
+        seed = derive_subseed(root, round_index=m + 1, basis_index=2)
         acc += reconstruct(project(update, seed), part)
     measured = _rel_err(acc / trials, delta)
     floor = math.sqrt((d - 1) / (k * trials))
     detail = (f"relative norm error of the mean over {trials} seeds at "
               f"d={d}, K={k}; estimator noise floor is ~{floor:.4f}")
-    if floor > tol:
-        detail += (f", so a tolerance of {tol:g} is unreachable "
+    if floor > tolerance:
+        detail += (f", so a tolerance of {tolerance:g} is unreachable "
                    f"at this sample size")
-    return measured <= tol, measured, tol, detail
+    return measured <= tolerance, measured, tolerance, detail
 
 
-def _check_error_bound(cfg: TheoryCheckConfig):
+def _check_error_bound(root: RandomSeed, dims=(1024, 4096, 16384),
+                       budgets=(32, 64, 128), trials=200):
     """Mean reconstruction error stays under the concentration bound."""
-    dims = cfg.dims or (1024, 4096, 16384)
-    budgets = cfg.budgets or (32, 64, 128)
-    trials = cfg.trials if cfg.trials is not None else 200
     worst = 0.0
     violations = 0
     parts = []
@@ -149,11 +167,11 @@ def _check_error_bound(cfg: TheoryCheckConfig):
         t = 2.0 * math.log(2.0 * d) / (rho * k)
         bound = max(2.0 * math.sqrt(t), t)
         part = BlockPartition((d,), (k,))
-        delta = _normal_vec(derive_subseed(cfg.seed, client=i + 1, basis_index=1), d)
+        delta = _normal_vec(derive_subseed(root, client=i + 1, basis_index=1), d)
         update = UpdateVector(values=delta, partition=part)
         errs = []
         for m in range(trials):
-            seed = derive_subseed(cfg.seed, client=i + 1, round_index=m + 1,
+            seed = derive_subseed(root, client=i + 1, round_index=m + 1,
                                   basis_index=2)
             errs.append(_rel_err(reconstruct(project(update, seed), part),
                                  delta))
@@ -166,27 +184,25 @@ def _check_error_bound(cfg: TheoryCheckConfig):
     return worst <= 1.0 and violations == 0, worst, 1.0, detail
 
 
-def _check_zo_connection(cfg: TheoryCheckConfig):
+def _check_zo_connection(root: RandomSeed, dim=512, budget=32, trials=100,
+                         epsilon=(0.1, 0.01), beta=1.0):
     """Zeroth-order estimate tracks the projected gradient within beta*eps/2.
 
     On a beta-smooth quadratic the forward-difference scalar along a unit
     direction differs from the directional derivative by at most beta*eps/2,
     and averaging over the shared basis preserves that gap in norm.
     """
-    d = (cfg.dims or (512,))[0]
-    k = (cfg.budgets or (32,))[0]
-    trials = cfg.trials if cfg.trials is not None else 100
-    eps_values = (cfg.epsilon,) if cfg.epsilon is not None else (0.1, 0.01)
-    beta = cfg.beta
+    d, k = dim, budget
+    eps_values = epsilon if isinstance(epsilon, tuple) else (epsilon,)
     worst = 0.0
     violations = 0
     total = 0
     for e_i, eps in enumerate(eps_values):
         limit = beta * eps / 2.0
         for t in range(trials):
-            w = _normal_vec(derive_subseed(cfg.seed, client=1, round_index=t + 1,
+            w = _normal_vec(derive_subseed(root, client=1, round_index=t + 1,
                                            basis_index=e_i + 1), d)
-            center = _normal_vec(derive_subseed(cfg.seed, client=2,
+            center = _normal_vec(derive_subseed(root, client=2,
                                                 round_index=t + 1,
                                                 basis_index=e_i + 1), d)
             grad = beta * (w - center)
@@ -195,7 +211,7 @@ def _check_zo_connection(cfg: TheoryCheckConfig):
                 diff = x - _c
                 return 0.5 * beta * float(np.dot(diff, diff))
 
-            bseed = derive_subseed(cfg.seed, client=3, round_index=t + 1,
+            bseed = derive_subseed(root, client=3, round_index=t + 1,
                                    basis_index=e_i + 1)
             zo_est = zo_gradient(quad, w, ZOConfig(epsilon=eps,
                                                    num_perturbations=k,
@@ -212,28 +228,27 @@ def _check_zo_connection(cfg: TheoryCheckConfig):
     return violations == 0, worst, 1.0, detail
 
 
-def _check_rho_rate(cfg: TheoryCheckConfig):
+def _check_rho_rate(root: RandomSeed,
+                    dims=(100, 1_000, 10_000, 100_000, 1_000_000),
+                    tolerance=0.05):
     """1/rho grows linearly in d and rho*d approaches 1/3."""
-    dims = cfg.dims or (100, 1_000, 10_000, 100_000, 1_000_000)
-    tol = cfg.tolerance if cfg.tolerance is not None else 0.05
     rhos = np.array([trunc_gauss_stats(d).rho for d in dims])
     slope = float(np.polyfit(np.log(np.array(dims, dtype=np.float64)),
                              np.log(1.0 / rhos), 1)[0])
     prod = float(rhos[-1] * dims[-1])
     limit_ok = abs(prod - 1.0 / 3.0) <= (1.0 / 3.0) * 1e-3
     detail = (f"log-log slope of 1/rho over d in {tuple(dims)} "
-              f"(want 1 +/- {tol:g}); rho*d at d={dims[-1]} is {prod:.6f} "
+              f"(want 1 +/- {tolerance:g}); rho*d at d={dims[-1]} is {prod:.6f} "
               f"(want 1/3 within 0.1%)")
-    return abs(slope - 1.0) <= tol and limit_ok, slope, 1.0, detail
+    return abs(slope - 1.0) <= tolerance and limit_ok, slope, 1.0, detail
 
 
-def _check_accuracy_vs_bases(cfg: TheoryCheckConfig):
+def _check_accuracy_vs_bases(root: RandomSeed, dim=10_000,
+                             budgets=(64, 128, 256, 512), epsilon=0.1,
+                             trials=20):
     """More bases give a better update direction, and never worse than ZO."""
-    series = accuracy_vs_bases(dim=(cfg.dims or (10_000,))[0],
-                               budgets=cfg.budgets or (64, 128, 256, 512),
-                               epsilon=cfg.epsilon if cfg.epsilon is not None else 0.1,
-                               trials=cfg.trials if cfg.trials is not None else 20,
-                               seed=cfg.seed)
+    series = accuracy_vs_bases(dim=dim, budgets=budgets, epsilon=epsilon,
+                               trials=trials, seed=root)
     sub = series.column("subspace_cosine")
     zo = series.column("zeroth_order_cosine")
     monotone = bool(np.all(np.diff(sub) >= 0.0))
@@ -245,35 +260,31 @@ def _check_accuracy_vs_bases(cfg: TheoryCheckConfig):
     return monotone and margin >= 0.0, margin, 0.0, detail
 
 
-def _check_drift_immunity(cfg: TheoryCheckConfig):
+def _check_drift_immunity(root: RandomSeed, dim=50_000, budget=500, trials=1,
+                          epsilon=0.1, tolerance=0.02):
     """Subspace accuracy is flat in local steps while ZO accuracy decays."""
-    series = drift_immunity(dim=(cfg.dims or (50_000,))[0],
-                            bases=(cfg.budgets or (500,))[0],
-                            trials=cfg.trials if cfg.trials is not None else 1,
-                            seed=cfg.seed,
-                            epsilon=cfg.epsilon if cfg.epsilon is not None else 0.1)
-    tol = cfg.tolerance if cfg.tolerance is not None else 0.02
+    series = drift_immunity(dim=dim, bases=budget, trials=trials, seed=root,
+                            epsilon=epsilon)
     sub = series.column("subspace_cosine")
     zo = series.column("zeroth_order_cosine")
     spread = float(sub.max() - sub.min())
     detail = (f"subspace cosine range {spread:.4f} across local steps "
-              f"(want < {tol:g}); final step: subspace {sub[-1]:.4f} vs "
+              f"(want < {tolerance:g}); final step: subspace {sub[-1]:.4f} vs "
               f"zeroth-order {zo[-1]:.4f}")
-    return spread < tol and zo[-1] < sub[-1], spread, tol, detail
+    return spread < tolerance and zo[-1] < sub[-1], spread, tolerance, detail
 
 
-def _check_block_speedup(cfg: TheoryCheckConfig):
+def _check_block_speedup(root: RandomSeed, dim=1 << 20, budget=256,
+                         tolerance=4.0):
     """Splitting into L blocks cuts basis work to d*K/L without moving cosine."""
-    d = (cfg.dims or (1 << 20,))[0]
-    k = (cfg.budgets or (256,))[0]
+    d, k, min_speedup = dim, budget, tolerance
     blocks = 16
-    min_speedup = cfg.tolerance if cfg.tolerance is not None else 4.0
     single = BlockPartition((d,), (k,))
     split = BlockPartition.equal_split(d, blocks, k)
     exact = (block_cost(single) == d * k
              and block_cost(split) * blocks == d * k)
-    delta = _normal_vec(derive_subseed(cfg.seed, basis_index=1), d)
-    seed = derive_subseed(cfg.seed, basis_index=2)
+    delta = _normal_vec(derive_subseed(root, basis_index=1), d)
+    seed = derive_subseed(root, basis_index=2)
     timings = {}
     cosines = {}
     for label, part in (("single", single), ("split", split)):
@@ -291,10 +302,9 @@ def _check_block_speedup(cfg: TheoryCheckConfig):
     return passed, speedup, min_speedup, detail
 
 
-def _check_allocation(cfg: TheoryCheckConfig):
+def _check_allocation(root: RandomSeed, trials=100):
     """Norm-aware budget split beats a uniform split on skewed blocks."""
-    series = allocation_ablation(trials=cfg.trials if cfg.trials is not None else 100,
-                                 seed=cfg.seed)
+    series = allocation_ablation(trials=trials, seed=root)
     uniform = float(series.column("uniform_error").mean())
     scaled = float(series.column("norm_sqrt_error").mean())
     ratio = scaled / uniform
@@ -319,7 +329,8 @@ def _rounds_to(records, threshold: float) -> int | None:
     return None
 
 
-def _check_convergence(cfg: TheoryCheckConfig):
+def _check_convergence(root: RandomSeed, tolerance=0.10, beta=1.0, sigma_sq=1.0,
+                       init_gap=1.0):
     """Subspace training tracks dense averaging; sequential ZO trails it.
 
     The rate statement says rounds to an eps-stationary point scale like
@@ -327,11 +338,10 @@ def _check_convergence(cfg: TheoryCheckConfig):
     through constants; the check exercises the trackable consequence at
     desk scale and reports the plug-in constants.
     """
-    tol = cfg.tolerance if cfg.tolerance is not None else 0.10
     model, data, clients = _convergence_task()
     rounds = 20
     base = dict(num_clients=8, rounds=rounds, local_iters=10, total_bases=16,
-                local_lr=0.05, batch_size=512, root_seed=cfg.seed)
+                local_lr=0.05, batch_size=512, root_seed=root)
     runs = {}
     for method in ("fedavg", "subspace", "fedkseed"):
         fc = FedConfig(method=method, **base)
@@ -344,13 +354,13 @@ def _check_convergence(cfg: TheoryCheckConfig):
     kseed_cross = _rounds_to(runs["fedkseed"], threshold)
     ordered = sub_cross is not None and (kseed_cross is None
                                          or kseed_cross > sub_cross)
-    plug = cfg.beta * cfg.sigma_sq * cfg.init_gap
+    plug = beta * sigma_sq * init_gap
     detail = (f"final-loss relative gap to dense after {rounds} rounds "
-              f"(want <= {tol:g}); rounds to the dense round-{rounds // 2} "
+              f"(want <= {tolerance:g}); rounds to the dense round-{rounds // 2} "
               f"loss: subspace {sub_cross}, sequential zeroth-order "
               f"{'never' if kseed_cross is None else kseed_cross}; rate "
               f"constant beta*sigma^2*gap = {plug:g}")
-    return gap <= tol and ordered, gap, tol, detail
+    return gap <= tolerance and ordered, gap, tolerance, detail
 
 
 def _accounting_run(model: ModelSpec, data, method: str, total_bases: int,
@@ -362,7 +372,7 @@ def _accounting_run(model: ModelSpec, data, method: str, total_bases: int,
     return account_costs(run_experiment(fc, model, clients, data))
 
 
-def _check_accounting(cfg: TheoryCheckConfig):
+def _check_accounting(root: RandomSeed):
     """Upload ratio is exactly (K+1)/d, and the baselines pair up exactly."""
     cases = ((32, 6), (8, 4))
     all_exact = True
@@ -372,7 +382,7 @@ def _check_accounting(cfg: TheoryCheckConfig):
                           output_dim=1, init_seed=3)
         data = synthetic_regression(n=96, input_dim=input_dim, seed=9)
         d = input_dim + 1
-        costs = {m: _accounting_run(model, data, m, k, cfg.seed)
+        costs = {m: _accounting_run(model, data, m, k, root)
                  for m in ("subspace", "fedavg", "fedkseed", "fedzo")}
         ratio = Fraction(costs["subspace"]["upload_total"],
                          costs["fedavg"]["upload_total"])
@@ -389,14 +399,14 @@ def _check_accounting(cfg: TheoryCheckConfig):
     return all_exact, float(headline), (k_big + 1) / d_big, detail
 
 
-def _check_determinism(cfg: TheoryCheckConfig):
+def _check_determinism(root: RandomSeed):
     """Reruns and the socket transport reproduce records byte-for-byte."""
     model = ModelSpec("linear-regression", input_dim=24, output_dim=1, init_seed=3)
     data = synthetic_regression(n=120, input_dim=24, seed=9)
     fc = FedConfig(num_clients=5, rounds=3, local_iters=4, total_bases=8,
                    local_lr=0.05, participation=0.6, batch_size=32,
-                   root_seed=cfg.seed)
-    clients = partition_data(data, fc.num_clients, seed=cfg.seed)
+                   root_seed=root)
+    clients = partition_data(data, fc.num_clients, seed=root)
     first = run_experiment(fc, model, clients, data)
     second = run_experiment(fc, model, clients, data)
     socketed = run_experiment_sockets(fc, model, clients, data)
@@ -422,12 +432,14 @@ _CHECKS = {
     "accounting": _check_accounting,
     "determinism": _check_determinism,
 }
+CHECK_NAMES = tuple(_CHECKS)  # the battery's order
 
 
 def run_check(cfg: TheoryCheckConfig) -> CheckReport:
     """Execute one named check and wrap the outcome in a report."""
     start = time.perf_counter()
-    passed, measured, bound, detail = _CHECKS[cfg.which](cfg)
+    passed, measured, bound, detail = _CHECKS[cfg.which](cfg.seed,
+                                                         **_check_arguments(cfg))
     runtime = time.perf_counter() - start
     return CheckReport(name=cfg.which, passed=bool(passed),
                        measured=float(measured), bound=float(bound),

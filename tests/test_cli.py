@@ -104,15 +104,35 @@ class TestRun:
         ("output", "records_csv", 5),
         ("output", "records_csv", None),
         ("output", "summary_json", ["x"]),
+        (None, "model", 5),
+        (None, "data", [1, 2]),
+        (None, "federation", "fedavg"),
+        (None, "output", None),
     ])
     def test_wrong_typed_values_exit_2(self, tmp_path, capsys, section, key,
                                        value):
         cfg = base_config(tmp_path)
-        cfg[section][key] = value
+        (cfg if section is None else cfg[section])[key] = value
         assert main(["run", dump(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
-        assert f"{section}.{key} must be" in err and json.dumps(value) in err
+        where = "config" if section is None else section
+        assert f"{where}.{key} must be" in err and json.dumps(value) in err
         assert not (tmp_path / "records.csv").exists()
+
+    @pytest.mark.parametrize("section,key", [
+        ("model", "output_dim"),
+        ("data", "n"),
+        ("data", "source"),
+        ("federation", "local_lr"),
+        ("output", "records_csv"),
+    ])
+    def test_missing_required_keys_exit_2(self, tmp_path, capsys, section,
+                                          key):
+        cfg = base_config(tmp_path)
+        del cfg[section][key]
+        assert main(["run", dump(tmp_path, cfg)]) == 2
+        assert f"missing required key {key!r} in {section}" \
+            in capsys.readouterr().err
 
     def test_null_summary_json_writes_records_only(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -146,6 +166,17 @@ class TestRun:
         assert "class targets" in capsys.readouterr().err
         assert not (tmp_path / "records.csv").exists()
 
+    def test_non_finite_label_skew_exits_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        cfg["model"] = {"kind": "logistic-regression", "input_dim": 8,
+                        "output_dim": 3}
+        cfg["data"] = {"source": "synthetic-classification", "n": 64,
+                       "input_dim": 8, "num_classes": 3,
+                       "skew": "label-skew(inf)"}
+        assert main(["run", dump(tmp_path, cfg)]) == 2
+        assert "label-skew(inf)" in capsys.readouterr().err
+        assert not (tmp_path / "records.csv").exists()
+
     def test_feature_count_mismatch_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         cfg["data"]["input_dim"] = 9
@@ -172,6 +203,15 @@ class TestRun:
         cfg = base_config(tmp_path)
         cfg["data"] = {"source": "csv", "path": str(tmp_path / "data.csv")}
         assert main(["run", dump(tmp_path, cfg)]) == 0
+
+    def test_csv_task_kind_comes_from_the_model(self, tmp_path, capsys):
+        # load_csv's classification flag follows model.kind, never the config
+        save_csv(synthetic_regression(48, 8, seed=9), str(tmp_path / "data.csv"))
+        cfg = base_config(tmp_path)
+        cfg["data"] = {"source": "csv", "path": str(tmp_path / "data.csv"),
+                       "classification": False}
+        assert main(["run", dump(tmp_path, cfg)]) == 2
+        assert "classification" in capsys.readouterr().err
 
     def test_npz_data_source(self, tmp_path):
         data = synthetic_regression(48, 8, seed=9)
@@ -239,6 +279,17 @@ class TestVerifyCommand:
 
     def test_invalid_trials_exit_2(self):
         assert main(["verify", "--check", "unbiased", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--check", "determinism", "--trials", "5"],
+        ["--check", "determinism", "--trials", "5", "--epsilon", "3"],
+        ["--check", "rho-rate", "--epsilon", "0.5"],
+        ["--check", "allocation", "--tolerance", "0.1"],
+    ])
+    def test_flag_the_check_does_not_read_exits_2(self, capsys, argv):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "does not read" in captured.err and captured.out == ""
 
 
 class TestReproCommand:

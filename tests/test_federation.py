@@ -87,6 +87,24 @@ class TestFedConfig:
         with pytest.raises(ConfigError):
             base_cfg(seed_policy="per-client")
 
+    @pytest.mark.parametrize("field,value,error", [
+        ("local_lr", -0.05, InvalidDimensionError),
+        ("local_lr", float("nan"), InvalidDimensionError),
+        ("local_lr", float("inf"), InvalidDimensionError),
+        ("server_lr", float("nan"), InvalidDimensionError),
+        ("server_lr", float("-inf"), InvalidDimensionError),
+        ("zo_epsilon", 0.0, InvalidDimensionError),
+        ("zo_epsilon", float("nan"), InvalidDimensionError),
+        ("zo_epsilon", float("inf"), InvalidDimensionError),
+        ("batch_size", 0, InvalidDimensionError),
+        ("accum", 0, InvalidDimensionError),
+        ("optimizer", "adamw", ConfigError),
+    ])
+    def test_rejects_bad_training_values_at_construction(self, field, value,
+                                                         error):
+        with pytest.raises(error, match=field):
+            base_cfg(**{field: value})
+
     def test_clients_per_round_takes_ceiling(self):
         assert base_cfg(num_clients=30, participation=0.1).clients_per_round == 3
         # ceil(0.33 * 7) = ceil(2.31) = 3
@@ -191,6 +209,12 @@ class TestPartitionData:
         for skew in ("foo", "label-skew(-2)", "label-skew(abc)", "label-skew"):
             with pytest.raises(PartitionError):
                 partition_data(data, 2, skew, seed=0)
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "1e400"])
+    def test_label_skew_needs_finite_alpha(self, alpha):
+        data = synthetic_classification(40, 3, 4, seed=0)
+        with pytest.raises(PartitionError, match="skew"):
+            partition_data(data, 2, f"label-skew({alpha})", seed=0)
 
     def test_client_dataset_rejects_empty(self):
         with pytest.raises(PartitionError):

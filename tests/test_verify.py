@@ -8,6 +8,25 @@ from fedproj.verify import (CHECK_NAMES, CheckReport, TheoryCheckConfig,
                             run_battery, run_check)
 
 
+# the overrides each check reads; a check given any other one is
+# misconfigured, so construction must refuse it before anything runs
+_READS = {
+    "unbiased": {"dims", "budgets", "trials", "tolerance"},
+    "error-bound": {"dims", "budgets", "trials"},
+    "zo-connection": {"dims", "budgets", "trials", "epsilon", "beta"},
+    "rho-rate": {"dims", "tolerance"},
+    "accuracy-vs-bases": {"dims", "budgets", "trials", "epsilon"},
+    "drift-immunity": {"dims", "budgets", "trials", "epsilon", "tolerance"},
+    "block-speedup": {"dims", "budgets", "tolerance"},
+    "allocation": {"trials"},
+    "convergence": {"tolerance", "beta", "sigma_sq", "init_gap"},
+    "accounting": set(),
+    "determinism": set(),
+}
+_VALUES = {"trials": 3, "dims": (64,), "budgets": (8,), "tolerance": 0.5,
+           "epsilon": 0.1, "beta": 2.0, "sigma_sq": 2.0, "init_gap": 2.0}
+
+
 class TestTheoryCheckConfig:
     def test_accepts_known_names(self):
         for name in CHECK_NAMES:
@@ -39,6 +58,48 @@ class TestTheoryCheckConfig:
             TheoryCheckConfig(which="unbiased", dims=())
         with pytest.raises(ConfigError, match="budgets"):
             TheoryCheckConfig(which="unbiased", budgets=(0,))
+
+    def test_reads_table_covers_every_check(self):
+        assert set(_READS) == set(CHECK_NAMES)
+
+    @pytest.mark.parametrize("which", CHECK_NAMES)
+    def test_accepts_every_override_its_check_reads(self, which):
+        TheoryCheckConfig(which=which,
+                          **{f: _VALUES[f] for f in _READS[which]})
+
+    @pytest.mark.parametrize("which,field", [
+        (which, field) for which in CHECK_NAMES for field in _VALUES
+        if field not in _READS[which]])
+    def test_rejects_every_override_its_check_ignores(self, which, field):
+        with pytest.raises(ConfigError, match=f"does not read {field}"):
+            TheoryCheckConfig(which=which, **{field: _VALUES[field]})
+
+    @pytest.mark.parametrize("which,field", [
+        ("unbiased", "dims"), ("unbiased", "budgets"),
+        ("zo-connection", "dims"), ("zo-connection", "budgets"),
+        ("accuracy-vs-bases", "dims"),
+        ("drift-immunity", "dims"), ("drift-immunity", "budgets"),
+        ("block-speedup", "dims"), ("block-speedup", "budgets"),
+    ])
+    def test_one_size_checks_reject_two_sizes(self, which, field):
+        with pytest.raises(ConfigError, match="runs one size"):
+            TheoryCheckConfig(which=which, **{field: (64, 128)})
+
+    @pytest.mark.parametrize("sizes", [
+        dict(dims=(128, 256), budgets=(16,)),
+        dict(dims=(128, 256)),
+        dict(budgets=(8, 16, 32, 64)),
+    ])
+    def test_error_bound_rejects_unpaired_sizes(self, sizes):
+        with pytest.raises(ConfigError, match="pairs dims with budgets"):
+            TheoryCheckConfig(which="error-bound", **sizes)
+
+    def test_error_bound_takes_paired_sizes(self):
+        # the benchmark's reduced configuration
+        cfg = TheoryCheckConfig(which="error-bound", trials=1,
+                                dims=(1024, 4096, 16384),
+                                budgets=(32, 64, 128))
+        assert cfg.dims == (1024, 4096, 16384) and cfg.budgets == (32, 64, 128)
 
     def test_battery_has_eleven_checks(self):
         assert len(CHECK_NAMES) == 11
@@ -150,13 +211,29 @@ class TestRunBattery:
     def test_covers_every_check_in_order(self, monkeypatch):
         ran = []
 
-        def fake(cfg):
-            ran.append(cfg.which)
-            return True, 0.0, 1.0, "stub"
+        def stub(name):
+            # a check is called with the root seed and the overrides set;
+            # the battery sets none
+            def check(root, **overrides):
+                ran.append((name, root, overrides))
+                return True, 0.0, 1.0, "stub"
+            return check
 
         monkeypatch.setattr(verify, "_CHECKS",
-                            {name: fake for name in CHECK_NAMES})
+                            {name: stub(name) for name in CHECK_NAMES})
         reports = run_battery(seed=5)
-        assert ran == list(CHECK_NAMES)
+        assert ran == [(name, 5, {}) for name in CHECK_NAMES]
         assert all(r.seed == 5 for r in reports)
         assert [r.name for r in reports] == list(CHECK_NAMES)
+
+    def test_run_check_passes_only_the_set_overrides(self, monkeypatch):
+        seen = []
+
+        def check(root, dim=1, trials=2, tolerance=3.0):
+            seen.append((root, dim, trials, tolerance))
+            return True, 0.0, 1.0, "stub"
+
+        monkeypatch.setitem(verify._CHECKS, "unbiased", check)
+        run_check(TheoryCheckConfig(which="unbiased", seed=4, dims=(9,),
+                                    tolerance=0.5))
+        assert seen == [(4, 9, 2, 0.5)]
