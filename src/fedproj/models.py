@@ -14,6 +14,10 @@ returns the final parameters together with the transmitted quantity
 yields ``delta == lr * grad`` without rounding detours.  Steps and
 evaluations write into arrays they already own (the forward pass, the step,
 the iterate) instead of allocating parameter- or batch-sized temporaries.
+The classifiers' cross-entropy takes each row's max down the class axis of
+one n x c copy and reads the n target logits by flat position; a loss
+without a gradient shifts only those n values by the row normalisers.  Both
+give the bits of the full row-wise log-softmax.
 """
 
 from __future__ import annotations
@@ -230,14 +234,6 @@ def _views(model: ModelSpec, v: np.ndarray) -> dict[str, np.ndarray]:
             for name, start, stop, shape, _ in model._slabs}
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax, computed in place over the caller's ``z``."""
-    z -= z.max(axis=1, keepdims=True)
-    norm = np.exp(z).sum(axis=1, keepdims=True)
-    z -= np.log(norm, out=norm)
-    return z
-
-
 def _forward(model: ModelSpec, g: dict[str, np.ndarray],
              x: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """(tanh hidden layer or None, outputs), both fresh arrays the caller owns."""
@@ -278,12 +274,23 @@ def _loss_grad_raw(model: ModelSpec, v: np.ndarray, x: np.ndarray, y: np.ndarray
             go["b"][:] = z.sum(axis=0) / n
         return loss, out
 
-    ls = _log_softmax(z)
-    loss = -float(ls[np.arange(n), y].sum()) / n
+    # log-softmax cross-entropy over the fresh row-major logits z.  The row
+    # max comes down a class-major copy, c long reductions instead of n short
+    # ones; a max is exact, so the order moves no bit.  The normalisers stay
+    # row sums over z, and each target logit is read at its flat position
+    z -= np.maximum.reduce(z.T.copy(), axis=0)[:, None]
+    log_norm = np.exp(z).sum(axis=1)
+    np.log(log_norm, out=log_norm)
+    flat = z.reshape(-1)
+    at = np.arange(0, z.size, z.shape[1]) + y
     if not want_grad:
-        return loss, out
-    gz = np.exp(ls, out=ls)
-    gz[np.arange(n), y] -= 1.0
+        picked = flat[at]
+        picked -= log_norm  # the n target log-probabilities only
+        return -float(picked.sum()) / n, out
+    z -= log_norm[:, None]
+    loss = -float(flat[at].sum()) / n
+    gz = np.exp(z, out=z)
+    flat[at] -= 1.0
     gz /= n
     if model.kind == "logistic-regression":
         go["w"][:] = x.T @ gz

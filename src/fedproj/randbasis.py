@@ -69,8 +69,12 @@ def derive_subseed(root: RandomSeed, client: int = 0, round_index: int = 0,
     Each index is absorbed through one avalanche pass, so permuting the
     indices changes the result.  Indices must be non-negative.
     """
-    h = int(root) & MASK64
-    for v in (client, round_index, block, basis_index):
+    return _fold(int(root) & MASK64, (client, round_index, block, basis_index))
+
+
+def _fold(h: int, indices) -> int:
+    """Absorb each index into the 64-bit state h by one avalanche pass."""
+    for v in indices:
         if v < 0:
             raise InvalidDimensionError("derivation indices must be non-negative")
         h = mix64((h + GAMMA + v) & MASK64)
@@ -277,10 +281,11 @@ def basis_tile(seed: RandomSeed, block: int, block_dim: int,
     elif out.shape != (rows, block_dim) or out.dtype != np.float32:
         raise ShapeMismatchError(
             f"out is {out.dtype}{out.shape}, rows need float32{(rows, block_dim)}")
-    row_seeds = np.array(
-        [derive_subseed(seed, 0, 0, block, k) for k in range(k_lo, k_hi)],
-        dtype=np.uint64,
-    )
+    # derive_subseed(seed, 0, 0, block, k): the (seed, 0, 0, block) prefix is
+    # folded once, and each row absorbs only its k
+    prefix = _fold(int(seed) & MASK64, (0, 0, block))
+    row_seeds = np.array([mix64(prefix + GAMMA + k) for k in range(k_lo, k_hi)],
+                         dtype=np.uint64)
     counters = _counters(block_dim)
     cols = min(block_dim, _SPAN)
     rows_per_span = max(1, _SPAN // block_dim)

@@ -65,8 +65,9 @@ class TheoryCheckConfig:
         if self.which not in CHECK_NAMES:
             known = ", ".join(CHECK_NAMES)
             raise ConfigError(f"unknown check {self.which!r}; expected one of {known}")
-        if self.trials is not None and self.trials < 1:
-            raise ConfigError("trials must be at least 1")
+        if self.trials is not None and not _is_count(self.trials):
+            raise ConfigError(
+                f"trials must be an integer of at least 1, got {self.trials!r}")
         for name in ("tolerance", "epsilon", "beta", "sigma_sq", "init_gap"):
             value = getattr(self, name)
             if value is not None and not value > 0:
@@ -75,9 +76,18 @@ class TheoryCheckConfig:
             vals = getattr(self, name)
             if vals is None:
                 continue
-            if len(vals) == 0 or any(int(v) != v or v < 1 for v in vals):
-                raise ConfigError(f"{name} must be positive integers")
+            if not isinstance(vals, (tuple, list)) or len(vals) == 0 \
+                    or not all(map(_is_count, vals)):
+                raise ConfigError(
+                    f"{name} must be a non-empty tuple of integers of at least "
+                    f"1, got {vals!r}")
         _check_arguments(self)
+
+
+def _is_count(value) -> bool:
+    """A Python or numpy integer (not a bool, not a float) of at least 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
+        and value >= 1
 
 
 def _check_arguments(cfg: TheoryCheckConfig) -> dict:

@@ -41,7 +41,8 @@ from fedproj.models import (
     synthetic_regression,
 )
 from fedproj.projection import UpdateVector, reconstruct, project
-from fedproj.randbasis import basis_tile
+from fedproj.randbasis import basis_tile, uniform_stream
+from fedproj.repro import format_records_csv
 
 
 def small_regression(input_dim: int = 20, n: int = 300):
@@ -731,6 +732,46 @@ class TestWalkEvaluator:
         assert np.isfinite(value)
         with pytest.raises(NumericError, match="non-finite parameter values"):
             loss_fn(w)
+
+    def test_walk_loss_golden_digest(self):
+        # the fedkseed-mlp shard shape, a 64-32-10 MLP on 200 examples: the
+        # first call, which checks the shard, and later ones on its arrays;
+        # frozen from the implementation that formed the full log-softmax
+        model = ModelSpec("mlp", 64, 10, hidden_dim=32, init_seed=3)
+        data = synthetic_classification(200, 64, 10, seed=4)
+        loss_fn = federation._walk_loss(model, data)
+        w = init_params(model)
+        h = hashlib.sha256()
+        for i in range(6):
+            h.update(repr(loss_fn(w + 0.25 * i * uniform_stream(i, w.size)))
+                     .encode())
+        assert h.hexdigest() == (
+            "b896445091f48041555a22194d666cff97c72f25a994f805b0b360266bf4f632")
+
+    @pytest.mark.parametrize("method,seed,digest", [
+        ("fedzo", 1,
+         "cc0bedcc3490b99cbacafc3c65cb7065ed2d3abaad4298f050fad3f369a9faf0"),
+        ("fedzo", 2,
+         "6cda4ac0891f3a7e27bec00af960b0bc8abb6e57e98eee3a97d6337c8b96752d"),
+        ("fedkseed", 1,
+         "8d5b9fe5e3ce55a3a8ef401574c9369788219bc8c99c9df12bdd6a2d4951ec02"),
+        ("fedkseed", 2,
+         "8da756d0e84cc6ce296c51c1189ce34f07b11a2e5d354388237eee66daf1cd48"),
+    ])
+    def test_records_golden_digest(self, method, seed, digest):
+        # two rounds at the fedkseed-mlp benchmark shape (a 64-32-10 MLP,
+        # 10 shards of 200 examples, 2 clients a round, K = 256); records CSV
+        # sha256 frozen from the implementation before the walk's loss
+        # stopped forming the full log-softmax
+        model = ModelSpec("mlp", 64, 10, hidden_dim=32, init_seed=seed)
+        data = synthetic_classification(2000, 64, 10, seed=seed)
+        cfg = FedConfig(num_clients=10, rounds=2, local_iters=5,
+                        total_bases=256, local_lr=0.05, participation=0.2,
+                        method=method, batch_size=32, root_seed=seed)
+        records = run_experiment(cfg, model, partition_data(data, 10, seed=seed),
+                                 data)
+        text = format_records_csv(records)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

@@ -586,6 +586,101 @@ def test_local_sgd_golden_digest(name, optimizer, accum, batch):
     assert digest.hexdigest() == _SGD_DIGESTS[name, optimizer, accum, batch]
 
 
+# ---------------------------------------------------------------- loss bits
+
+_LOSS_SIZES = [(n, c) for n in (1, 7, 32, 200, 2000) for c in (2, 10)]
+
+
+def _loss_task(kind, n, c, scale):
+    """A model, scaled initial parameters and an n-example batch, c outputs."""
+    m = ModelSpec(kind, 6, c, hidden_dim=5 if kind == "mlp" else 0,
+                  init_seed=n)
+    data = (synthetic_regression(n, 6, output_dim=c, seed=c)
+            if kind == "linear-regression"
+            else synthetic_classification(n, 6, c, seed=c))
+    return m, scale * init_params(m), data
+
+
+def _crafted_logits(case, n, c):
+    """n x c logits with ties, signed zeros, or values near the float limit.
+
+    "signed-zero" also gives every third row a single signed-zero maximum
+    over -1000s, where the row's normaliser is exactly 1; "overflow" mixes
+    +-1e308 and +-1.7e308, whose differences overflow to -inf.
+    """
+    u = uniform_stream(31 * n + c, n * c).reshape(n, c)
+    if case == "tied":
+        return np.floor(u * 3.0) - 1.0
+    if case == "signed-zero":
+        z = np.where(u < 0.5, -0.0, 0.0)
+        z[u > 0.8] = -1000.0
+        rows = np.arange(0, n, 3)
+        z[rows] = -1000.0
+        z[rows, rows % c] = np.where(u[rows, 0] < 0.5, -0.0, 0.0)
+        return z
+    values = np.array([1e308, -1e308, 1.7e308, -1.7e308, 0.0, 5.0])
+    return values[(u * len(values)).astype(np.int64)]
+
+
+def _with_logits(monkeypatch, logits):
+    """Make the models' forward pass return ``logits`` as its outputs."""
+    forward = models._forward
+
+    def crafted(model, g, x):
+        hidden, out = forward(model, g, x)
+        out[...] = logits
+        return hidden, out
+
+    monkeypatch.setattr(models, "_forward", crafted)
+
+
+# sha256 over repr(loss) + grad bytes of every _LOSS_SIZES case, frozen from
+# the implementation that took the row max along each row and formed the
+# full log-softmax for the loss; the logit cases replace the forward pass's
+# outputs with _crafted_logits
+_LOSS_DIGESTS = {
+    ("linear-regression", "init"): "5613b3431290322c5bb784b6e48a24902feb609a8d69bb92e668721a64742091",
+    ("linear-regression", "scaled"): "4dec073aa879e3714ceb3ac7b3d917dcaccef0f16031b732799c290d16ea0951",
+    ("logistic-regression", "init"): "00aed254e1fcf799b82e598f570141345a46e06766a85a886aed6429230b2b86",
+    ("logistic-regression", "scaled"): "e522d8c299fa78a4fcdf4980cc0412b20ade34f4bda1b35529c6609c59f1e1f9",
+    ("logistic-regression", "tied"): "33564aeb3502565b85838184877139887a4c55d47c793e57fdb29bb8f03298ad",
+    ("logistic-regression", "signed-zero"): "c8ed29e6232976046fe4e490812d43889b876a84711e1f05750ae6966226359e",
+    ("logistic-regression", "overflow"): "bc1ead9587e06676da10634325962f03ba6951503069a348d7ae46e5732bc8c6",
+    ("mlp", "init"): "5cab7699a4eb8a27be5edb80c495e0d1852b532703c0ad0b0c21c31e826d1e49",
+    ("mlp", "scaled"): "1b7236ffd78ecf67c0ba60b48e19c47ab216d764e437f4d64899ece070ed8185",
+    ("mlp", "tied"): "6249ceec8e5ab48f0f748102ea4aeae2de0fdd45803d7b60f4ebb90edd0829db",
+    ("mlp", "signed-zero"): "abd297ad88c7794620e9d3bf527d72f7f667c691002065d57a28bae9619792ad",
+    ("mlp", "overflow"): "98e0a56715175b9bef92c4c78651cf2f71c9f4fd4460201eea9cf162766ff46c",
+}
+
+
+@pytest.mark.parametrize("kind,case", sorted(_LOSS_DIGESTS))
+def test_loss_and_grad_golden_digest(monkeypatch, kind, case):
+    h = hashlib.sha256()
+    for n, c in _LOSS_SIZES:
+        m, w, data = _loss_task(kind, n, c, 8.0 if case == "scaled" else 1.0)
+        if case not in ("init", "scaled"):
+            _with_logits(monkeypatch, _crafted_logits(case, n, c))
+        h.update(repr(loss(m, w, data)).encode())
+        h.update(grad(m, w, data).tobytes())
+        monkeypatch.undo()
+    assert h.hexdigest() == _LOSS_DIGESTS[kind, case]
+
+
+@pytest.mark.parametrize("kind", ["logistic-regression", "mlp"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("want_grad", [False, True])
+def test_nonfinite_logit_gives_nonfinite_loss(kind, bad, want_grad):
+    # one logit of every row is inf, -inf or nan, set through an output bias
+    # that the public calls would reject; the walks and local_sgd stop at the
+    # first step whose loss is not finite, so they still stop at that step
+    m, w, data = _loss_task(kind, 7, 3, 1.0)
+    models._views(m, w)["b2" if kind == "mlp" else "b"][1] = bad
+    x, y = _as_arrays(m, data)
+    value, _ = models._loss_grad(m, w, x, y, want_grad=want_grad)
+    assert not math.isfinite(value)
+
+
 # ---------------------------------------------------------------- temporaries
 
 def _traced_peak(fn) -> int:

@@ -198,17 +198,26 @@ def test_tile_equals_chunks_any_split():
     assert basis_tile(seed, block, dim, 5, 5).shape == (0, dim)
 
 
-def test_tile_rows_are_clipped_trunc_gauss_streams():
+@pytest.mark.parametrize("seed,block,k_lo", [
+    (11, 2, 0), (2 ** 64 - 1, 0, 2 ** 40), (-3, 7, 5), (2 ** 70 + 5, 1, 16)])
+def test_tile_rows_are_clipped_trunc_gauss_streams(seed, block, k_lo):
     # basis_tile's float32 values are PPND16's, whether or not the series
     # route made them, so a row is its stream's public truncated-normal
-    # draws (norm_ppf), clipped and rounded to float32
-    dim, seed, block = 1000, 11, 2
-    tile = basis_tile(seed, block, dim, 0, 4)
+    # draws (norm_ppf), clipped and rounded to float32; the row seeds are
+    # derive_subseed's for any seed and index, however basis_tile folds them
+    dim = 1000
+    tile = basis_tile(seed, block, dim, k_lo, k_lo + 4)
     bound, clip = trunc_gauss_stats(dim).bound, _clip_bound(dim)
-    for k in range(4):
+    for k in range(k_lo, k_lo + 4):
         stream = trunc_gauss_stream(derive_subseed(seed, 0, 0, block, k), dim, bound)
         np.testing.assert_array_equal(
-            tile[k], np.clip(stream, -clip, clip).astype(np.float32))
+            tile[k - k_lo], np.clip(stream, -clip, clip).astype(np.float32))
+
+
+@pytest.mark.parametrize("k_hi", [0, 3])
+def test_tile_rejects_a_negative_block(k_hi):
+    with pytest.raises(InvalidDimensionError, match="non-negative"):
+        basis_tile(7, -1, 10, 0, k_hi)
 
 
 @pytest.mark.parametrize("dim", [100, 256, 1000, 2410, 2560, 4096, 16384,

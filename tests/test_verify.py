@@ -1,5 +1,6 @@
 """Tests for the statistical check harness (downscaled where needed)."""
 
+import numpy as np
 import pytest
 
 from fedproj import verify
@@ -58,6 +59,24 @@ class TestTheoryCheckConfig:
             TheoryCheckConfig(which="unbiased", dims=())
         with pytest.raises(ConfigError, match="budgets"):
             TheoryCheckConfig(which="unbiased", budgets=(0,))
+
+    @pytest.mark.parametrize("field,value", [
+        ("trials", 2.5), ("trials", 2.0), ("trials", True), ("trials", "3"),
+        ("dims", (64.0,)), ("dims", (True,)), ("dims", 64),
+        ("budgets", (8.5,)), ("budgets", (np.float64(8.0),)),
+        ("budgets", (False,)),
+    ])
+    def test_rejects_sizes_that_are_not_integers(self, field, value):
+        # floats that equal an integer and bools used to pass construction
+        # and then die in the check with a bare TypeError, or run as ints
+        which = "allocation" if field == "trials" else "unbiased"
+        with pytest.raises(ConfigError, match=field):
+            TheoryCheckConfig(which=which, **{field: value})
+
+    def test_accepts_numpy_integer_sizes(self):
+        cfg = TheoryCheckConfig(which="unbiased", trials=np.int64(3),
+                                dims=(np.int32(64),), budgets=(8,))
+        assert cfg.trials == 3 and cfg.dims == (64,)
 
     def test_reads_table_covers_every_check(self):
         assert set(_READS) == set(CHECK_NAMES)
