@@ -477,17 +477,18 @@ def apply_replies(state: ExperimentState, cfg: FedConfig,
                 f"client {m.client_id} replied for round {m.round_index} "
                 f"during round {state.round_index}")
 
+    n = len(msgs)
     total = np.zeros(state.model.dim, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in msgs:
             total += _client_delta(m, state, cfg)
-        step = cfg.server_lr * (total / len(msgs))
-        new_w = state.w - step
+        total /= n
+        total *= cfg.server_lr  # the bits of server_lr * (total / n)
+        new_w = state.w - total
     if not np.all(np.isfinite(new_w)):
         raise DivergedError("aggregated parameters are not finite", 0,
                             round_index=state.round_index)
 
-    n = len(msgs)
     per_client_upload = sum(m.upload_units for m in msgs) // n
     seed_unit = 1 if _seed_bearing(cfg) else 0
     state.cumulative_upload += sum(m.upload_units for m in msgs) + seed_unit * n

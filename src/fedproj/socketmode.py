@@ -9,6 +9,15 @@ as the in-process simulator, and streams the replies back.  Because both modes
 route identical bytes into ``apply_replies``, their records match field for
 field apart from wall times.
 
+A reply's d floats are copied twice on the server: ``recv_frame`` reads the
+frame in place into one buffer, and ``encode_frame`` joins that buffer's body
+into the frame ``apply_replies`` reads.  The received buffer goes when the next
+reply arrives, so a round holds each reply once: the payloads
+``apply_replies`` decodes are read-only views of these frames, not copies,
+and keep them alive for as long as they live.  The worker reads the ROUND
+snapshot the same way, as a read-only view of its received frame, which each
+client copies before it steps.
+
 The worker runs its BLAS single-threaded.  Its gemms are per-client batches
 far too small to gain from a second thread, and that second thread waits on a
 core where the server's BLAS pool still spins after its evaluation: on a

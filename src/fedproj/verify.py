@@ -70,8 +70,9 @@ class TheoryCheckConfig:
                 f"trials must be an integer of at least 1, got {self.trials!r}")
         for name in ("tolerance", "epsilon", "beta", "sigma_sq", "init_gap"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name} must be positive")
+            if value is not None and not _is_positive_real(value):
+                raise ConfigError(
+                    f"{name} must be a finite real number > 0, got {value!r}")
         for name in ("dims", "budgets"):
             vals = getattr(self, name)
             if vals is None:
@@ -88,6 +89,12 @@ def _is_count(value) -> bool:
     """A Python or numpy integer (not a bool, not a float) of at least 1."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) \
         and value >= 1
+
+
+def _is_positive_real(value) -> bool:
+    """A Python or numpy real (not a bool) that is finite and above 0."""
+    return isinstance(value, (int, float, np.integer, np.floating)) \
+        and not isinstance(value, bool) and math.isfinite(value) and value > 0
 
 
 def _check_arguments(cfg: TheoryCheckConfig) -> dict:

@@ -18,6 +18,15 @@ server; from a failing worker, u32 client_id | u32 iteration | utf-8 text).
 
 The in-process engine routes every payload through this codec too, so the
 socket demo and the simulator see byte-identical numbers.
+
+The codec copies each frame once at each end.  An encoder builds its frame
+with a single ``b"".join`` over the header fields and the payload array's own
+buffer.  ``recv_frame`` reads a frame's tag and body into one buffer with
+``recv_into``, and the decoders slice read-only ``memoryview``s of the frame
+they are given: ``Frame.body`` is one, and a decoded payload array is a
+read-only ``np.frombuffer`` view of the frame.  Such an array may be
+unaligned, cannot be written, and keeps its frame alive for as long as it
+lives; a caller that updates it in place copies it first.
 """
 
 from __future__ import annotations
@@ -46,10 +55,16 @@ MAX_FRAME_BYTES = 1 << 28
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_HEAD = struct.Struct("<IB")  # frame length, tag
 _FAILURE = struct.Struct("<II")  # client_id, iteration
 
 
-def _need(buf: bytes, offset: int, count: int, what: str) -> None:
+def _view(buf) -> memoryview:
+    """A read-only byte view of buf; slicing it copies nothing."""
+    return memoryview(buf).toreadonly().cast("B")
+
+
+def _need(buf: memoryview, offset: int, count: int, what: str) -> None:
     if offset + count > len(buf):
         raise ProtocolError(f"truncated frame: {what} needs {count} bytes "
                             f"at offset {offset}, have {len(buf)}")
@@ -67,38 +82,48 @@ def _u64(value: int, what: str) -> bytes:
     return _U64.pack(value)
 
 
-def _read_u32(buf: bytes, off: int, what: str) -> tuple[int, int]:
+def _read_u32(buf: memoryview, off: int, what: str) -> tuple[int, int]:
     _need(buf, off, 4, what)
     return _U32.unpack_from(buf, off)[0], off + 4
 
 
-def _read_u64(buf: bytes, off: int, what: str) -> tuple[int, int]:
+def _read_u64(buf: memoryview, off: int, what: str) -> tuple[int, int]:
     _need(buf, off, 8, what)
     return _U64.unpack_from(buf, off)[0], off + 8
 
 
-def _read_floats(buf: bytes, off: int, count: int, dtype: str,
+def _read_floats(buf: memoryview, off: int, count: int, dtype: str,
                  what: str) -> tuple[np.ndarray, int]:
     width = np.dtype(dtype).itemsize
     _need(buf, off, count * width, what)
-    vals = np.frombuffer(buf, dtype=dtype, count=count, offset=off).copy()
+    vals = np.frombuffer(buf, dtype=dtype, count=count, offset=off)
     return vals, off + count * width
+
+
+def _floats(values, dtype: str, what: str) -> list:
+    """``u32 n | dtype * n`` as join parts; the array's own buffer when it
+    already has the wire dtype and is contiguous."""
+    vals = np.ascontiguousarray(values, dtype=dtype)
+    return [_u32(vals.shape[0], what), memoryview(vals).cast("B")]
 
 
 # ---------------------------------------------------------------- payloads
 
-def encode_projected(msg: ProjectedUpdate) -> bytes:
+def _projected_parts(msg: ProjectedUpdate) -> list:
     parts = [bytes([msg.version & 0xFF]),
              _u32(msg.partition_id, "partition id"),
              _u64(msg.seed, "seed")]
     for coords in msg.block_coords:
-        c = np.ascontiguousarray(coords, dtype="<f4")
-        parts.append(_u32(c.shape[0], "coordinate count"))
-        parts.append(c.tobytes())
-    return b"".join(parts)
+        parts += _floats(coords, "<f4", "coordinate count")
+    return parts
 
 
-def decode_projected(body: bytes) -> ProjectedUpdate:
+def encode_projected(msg: ProjectedUpdate) -> bytes:
+    return b"".join(_projected_parts(msg))
+
+
+def decode_projected(body) -> ProjectedUpdate:
+    body = _view(body)
     _need(body, 0, 1, "version byte")
     version = body[0]
     partition_id, off = _read_u32(body, 1, "partition id")
@@ -114,13 +139,17 @@ def decode_projected(body: bytes) -> ProjectedUpdate:
                            block_coords=tuple(blocks), version=version)
 
 
+def _scalar_parts(grads: ScalarGrads) -> list:
+    return [_u64(grads.seed, "seed"),
+            *_floats(grads.values, "<f8", "scalar count")]
+
+
 def encode_scalar_grads(grads: ScalarGrads) -> bytes:
-    vals = np.ascontiguousarray(grads.values, dtype="<f8")
-    return b"".join([_u64(grads.seed, "seed"),
-                     _u32(vals.shape[0], "scalar count"), vals.tobytes()])
+    return b"".join(_scalar_parts(grads))
 
 
-def decode_scalar_grads(body: bytes) -> ScalarGrads:
+def decode_scalar_grads(body) -> ScalarGrads:
+    body = _view(body)
     seed, off = _read_u64(body, 0, "seed")
     n, off = _read_u32(body, off, "scalar count")
     vals, off = _read_floats(body, off, n, "<f8", "scalars")
@@ -129,14 +158,19 @@ def decode_scalar_grads(body: bytes) -> ScalarGrads:
     return ScalarGrads(seed=seed, values=vals)
 
 
-def encode_raw(values: np.ndarray) -> bytes:
+def _raw_parts(values: np.ndarray) -> list:
     vals = np.ascontiguousarray(values, dtype="<f8")
     if vals.ndim != 1:
         raise ProtocolError("raw payload must be a flat vector")
-    return _u32(vals.shape[0], "value count") + vals.tobytes()
+    return _floats(vals, "<f8", "value count")
 
 
-def decode_raw(body: bytes) -> np.ndarray:
+def encode_raw(values: np.ndarray) -> bytes:
+    return b"".join(_raw_parts(values))
+
+
+def decode_raw(body) -> np.ndarray:
+    body = _view(body)
     n, off = _read_u32(body, 0, "value count")
     vals, off = _read_floats(body, off, n, "<f8", "values")
     if off != len(body):
@@ -149,7 +183,7 @@ def decode_raw(body: bytes) -> np.ndarray:
 @dataclass(frozen=True)
 class Frame:
     tag: int
-    body: bytes
+    body: memoryview  # read-only; bytes also work wherever a Frame is read
 
 
 def _check_length(length: int) -> None:
@@ -162,41 +196,51 @@ def _check_tag(tag: int) -> None:
         raise ProtocolError(f"unknown frame tag {tag:#04x}")
 
 
-def encode_frame(tag: int, body: bytes = b"") -> bytes:
+def _frame(tag: int, parts: list) -> bytes:
+    """One frame from its body parts, in a single join."""
     _check_tag(tag)
-    length = 1 + len(body)
+    length = 1 + sum(len(p) for p in parts)
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame of {length} bytes exceeds the cap")
-    return _u32(length, "frame length") + bytes([tag]) + body
+    return b"".join([_HEAD.pack(length, tag), *parts])
 
 
-def decode_frame(buf: bytes) -> tuple[Frame, int]:
-    """Decode one frame from the head of buf; returns (frame, bytes consumed)."""
+def encode_frame(tag: int, body=b"") -> bytes:
+    return _frame(tag, [_view(body)])
+
+
+def decode_frame(buf) -> tuple[Frame, int]:
+    """Decode one frame from the head of buf; returns (frame, bytes consumed).
+
+    The frame's body is a read-only view of buf.
+    """
+    buf = _view(buf)
     length, off = _read_u32(buf, 0, "frame length")
     _check_length(length)
     _need(buf, off, length, "frame body")
     tag = buf[off]
     _check_tag(tag)
-    return Frame(tag=tag, body=bytes(buf[off + 1:off + length])), off + length
+    return Frame(tag=tag, body=buf[off + 1:off + length]), off + length
 
 
 def encode_client_update(client_id: int, round_index: int, payload) -> bytes:
     """Wrap a payload object in its envelope and frame, picking the tag by type."""
-    head = _u32(client_id, "client id") + _u32(round_index, "round")
+    head = [_u32(client_id, "client id"), _u32(round_index, "round")]
     if isinstance(payload, ProjectedUpdate):
-        return encode_frame(TAG_PROJECTED, head + encode_projected(payload))
+        return _frame(TAG_PROJECTED, head + _projected_parts(payload))
     if isinstance(payload, ScalarGrads):
-        return encode_frame(TAG_SCALAR, head + encode_scalar_grads(payload))
-    return encode_frame(TAG_RAW, head + encode_raw(payload))
+        return _frame(TAG_SCALAR, head + _scalar_parts(payload))
+    return _frame(TAG_RAW, head + _raw_parts(payload))
 
 
 def decode_client_update(frame: Frame):
     """Unwrap (client_id, round, payload) from a client frame."""
     if frame.tag not in _CLIENT_TAGS:
         raise ProtocolError(f"tag {frame.tag:#04x} is not a client update")
-    client_id, off = _read_u32(frame.body, 0, "client id")
-    round_index, off = _read_u32(frame.body, off, "round")
-    body = frame.body[off:]
+    body = _view(frame.body)
+    client_id, off = _read_u32(body, 0, "client id")
+    round_index, off = _read_u32(body, off, "round")
+    body = body[off:]
     if frame.tag == TAG_PROJECTED:
         return client_id, round_index, decode_projected(body)
     if frame.tag == TAG_SCALAR:
@@ -205,36 +249,38 @@ def decode_client_update(frame: Frame):
 
 
 def encode_round(round_index: int, values: np.ndarray) -> bytes:
-    return encode_frame(TAG_ROUND, _u32(round_index, "round") + encode_raw(values))
+    return _frame(TAG_ROUND, [_u32(round_index, "round"), *_raw_parts(values)])
 
 
 def decode_round(frame: Frame) -> tuple[int, np.ndarray]:
     if frame.tag != TAG_ROUND:
         raise ProtocolError(f"tag {frame.tag:#04x} is not a round start")
-    round_index, off = _read_u32(frame.body, 0, "round")
-    return round_index, decode_raw(frame.body[off:])
+    body = _view(frame.body)
+    round_index, off = _read_u32(body, 0, "round")
+    return round_index, decode_raw(body[off:])
 
 
 def encode_done(rounds: int) -> bytes:
-    return encode_frame(TAG_DONE, _u32(rounds, "round count"))
+    return _frame(TAG_DONE, [_u32(rounds, "round count")])
 
 
 def encode_shutdown() -> bytes:
-    return encode_frame(TAG_SHUTDOWN)
+    return _frame(TAG_SHUTDOWN, [])
 
 
 def encode_failure(client_id: int, iteration: int, message: str) -> bytes:
     """A failing worker's SHUTDOWN frame (ids kept to their low 32 bits)."""
     head = _FAILURE.pack(client_id & 0xFFFFFFFF, iteration & 0xFFFFFFFF)
-    return encode_frame(TAG_SHUTDOWN, head + message.encode("utf-8"))
+    return _frame(TAG_SHUTDOWN, [head, message.encode("utf-8")])
 
 
-def decode_failure(body: bytes) -> tuple[int, int, str]:
+def decode_failure(body) -> tuple[int, int, str]:
     """(client_id, iteration, message) from a failing worker's SHUTDOWN body."""
+    body = _view(body)
     if len(body) < _FAILURE.size:
         raise ProtocolError("worker aborted without detail")
     client_id, iteration = _FAILURE.unpack_from(body)
-    text = body[_FAILURE.size:].decode("utf-8", errors="replace")
+    text = str(body[_FAILURE.size:], "utf-8", errors="replace")
     return client_id, iteration, text
 
 
@@ -244,21 +290,23 @@ def send_frame(sock, data: bytes) -> None:
     sock.sendall(data)
 
 
-def recv_exact(sock, count: int) -> bytes:
-    chunks = []
+def _recv_into(sock, buf: memoryview) -> None:
+    """Fill buf from sock; ProtocolError if the peer closes first."""
     got = 0
-    while got < count:
-        chunk = sock.recv(count - got)
-        if not chunk:
-            raise ProtocolError(f"connection closed {count - got} bytes early")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+    while got < len(buf):
+        n = sock.recv_into(buf[got:])
+        if not n:
+            raise ProtocolError(f"connection closed {len(buf) - got} bytes early")
+        got += n
 
 
 def recv_frame(sock) -> Frame:
-    (length,) = _U32.unpack(recv_exact(sock, 4))
+    """Read one frame; its tag and body land in one buffer, read in place."""
+    head = bytearray(_U32.size)
+    _recv_into(sock, memoryview(head))
+    (length,) = _U32.unpack(head)
     _check_length(length)
-    payload = recv_exact(sock, length)
-    _check_tag(payload[0])
-    return Frame(tag=payload[0], body=payload[1:])
+    buf = bytearray(length)
+    _recv_into(sock, memoryview(buf))
+    _check_tag(buf[0])
+    return Frame(tag=buf[0], body=_view(buf)[1:])

@@ -280,6 +280,11 @@ class TestVerifyCommand:
     def test_invalid_trials_exit_2(self):
         assert main(["verify", "--check", "unbiased", "--trials", "0"]) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_invalid_tolerance_exits_2(self, capsys, value):
+        assert main(["verify", "--check", "unbiased", "--tolerance", value]) == 2
+        assert "tolerance must be a finite real" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["--check", "determinism", "--trials", "5"],
         ["--check", "determinism", "--trials", "5", "--epsilon", "3"],

@@ -1,5 +1,7 @@
 """Tests for the statistical check harness (downscaled where needed)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,20 @@ class TestTheoryCheckConfig:
     def test_rejects_nonpositive_rate_constants(self, field):
         with pytest.raises(ConfigError, match=field):
             TheoryCheckConfig(which="convergence", **{field: 0.0})
+
+    @pytest.mark.parametrize("field", ["tolerance", "epsilon", "beta",
+                                       "sigma_sq", "init_gap"])
+    @pytest.mark.parametrize("value", ["0.5", True, math.inf, -math.inf, math.nan])
+    def test_rejects_non_real_or_non_finite_overrides(self, field, value):
+        which = {"epsilon": "zo-connection", "tolerance": "unbiased"}.get(
+            field, "convergence")
+        with pytest.raises(ConfigError, match=f"^{field} must be a finite real"):
+            TheoryCheckConfig(which=which, **{field: value})
+
+    def test_accepts_integer_and_numpy_real_overrides(self):
+        cfg = TheoryCheckConfig(which="convergence", tolerance=1,
+                                beta=np.float32(2.0), sigma_sq=np.int64(3))
+        assert (cfg.tolerance, cfg.beta, cfg.sigma_sq) == (1, 2.0, 3)
 
     def test_rejects_bad_dims_and_budgets(self):
         with pytest.raises(ConfigError, match="dims"):

@@ -1,10 +1,23 @@
+import copy
+import hashlib
 import socket
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fedproj import federation
 from fedproj.errors import ProtocolError
+from fedproj.federation import (
+    FedConfig,
+    apply_replies,
+    client_update_frame,
+    partition_data,
+    sample_clients,
+    setup_experiment,
+)
+from fedproj.models import ModelSpec, synthetic_classification
 from fedproj.projection import BlockPartition, ProjectedUpdate, UpdateVector, project, reconstruct
 from fedproj.wire import (
     MAX_FRAME_BYTES,
@@ -207,3 +220,170 @@ def test_max_frame_guard():
             server.close()
             client.close()
         assert str(streamed.value) == str(buffered.value)
+
+
+# sha256 of frames recorded before the codec moved to one join per frame and
+# read-only views: any change to the bytes on the wire shows up here
+GOLDEN_CLIENT_FRAMES = {
+    ("mlp", "subspace"): "7af8a6f9a7af45f806ca832333955a25923ebf74e87bd906c7a5ead56631cf82",
+    ("mlp", "fedavg"): "96d7791a0d546157b77c56e30d38b245c1df7ffa1591034ce81623af02465cbb",
+    ("mlp", "fedzo"): "36ebdc182540894e73e204680f0ab74c3a37917cf15816819a5fc63dee1e9d13",
+    ("mlp", "fedkseed"): "add322dbed7a60e92a0bada314f72c16961047c09a7d1a91d22333612a3d9c71",
+    ("logistic-regression", "subspace"):
+        "1b7ab12ef3bee4d48be7ea1c2fc69ed4e40a11f16cb70f317db8d423df3e4bd9",
+    ("logistic-regression", "fedavg"):
+        "beb4a125782bef37074e8ee12a8dcf43bd0dee532a5be7ddced8e5b8ae954cfb",
+    ("logistic-regression", "fedzo"):
+        "7ef281952b02737d5d7eb20fe60d15d675f00d85c82341e106cc2d60c00501c3",
+    ("logistic-regression", "fedkseed"):
+        "6de84317e80a846b09c4d3d536030425e132dd22d95621817785c7308fe48cfa",
+}
+GOLDEN_CONTROL_FRAMES = {
+    "round": "777b993be99c5d56519ff09b53b3a3082cd1fbd173a565ec3dca30f7500ce581",
+    "done": "9d6303a2bf6128ca7f3a392847ec1851e1c672537664e2bc2839a1c4de7bec7f",
+    "failure": "fa8485dbd620b39f6f18d9d444cb5825e3e31cdb39f9470459c193d86e9888ea",
+    "shutdown": "0454dbbd1f5e8425082ba26517c539df3cf4df75d8e09db20f25c24035b04f5c",
+}
+
+
+def _experiment(method: str, kind: str = "mlp"):
+    model = ModelSpec(kind, 6, 3, hidden_dim=8 if kind == "mlp" else 0,
+                      init_seed=4)
+    data = synthetic_classification(120, 6, 3, seed=5)
+    clients = partition_data(data, 4, seed=6)
+    cfg = FedConfig(num_clients=4, rounds=1, local_iters=2, total_bases=6,
+                    local_lr=0.05, root_seed=7, batch_size=8, method=method)
+    return cfg, model, clients, setup_experiment(cfg, model, clients, data)
+
+
+def _round0_frame(kind: str, method: str) -> bytes:
+    cfg, model, clients, state = _experiment(method, kind)
+    cid = sample_clients(cfg, 0)[0]
+    return client_update_frame(cfg, model, state.partition, state.w,
+                               clients[cid], 0)
+
+
+@pytest.mark.parametrize("kind,method", sorted(GOLDEN_CLIENT_FRAMES))
+def test_round0_client_frames_match_their_golden_digest(kind, method):
+    frame = _round0_frame(kind, method)
+    assert hashlib.sha256(frame).hexdigest() == GOLDEN_CLIENT_FRAMES[kind, method]
+
+
+def test_control_frames_match_their_golden_digest():
+    frames = {"round": encode_round(3, np.linspace(-1.0, 1.0, 11)),
+              "done": encode_done(5),
+              "failure": encode_failure(2, 9, "local loss diverged → nan"),
+              "shutdown": encode_shutdown()}
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in frames.items()} == \
+        GOLDEN_CONTROL_FRAMES
+
+
+def test_recv_frame_reassembles_a_frame_sent_in_small_pieces():
+    out = _round0_frame("mlp", "fedavg")
+    server, client = socket.socketpair()
+    try:
+        def trickle():
+            for at in range(0, len(out), 7):
+                client.sendall(out[at:at + 7])
+
+        t = threading.Thread(target=trickle)
+        t.start()
+        frame = recv_frame(server)
+        t.join()
+        assert frame.tag == TAG_RAW
+        assert bytes(frame.body) == out[5:]
+    finally:
+        server.close()
+        client.close()
+
+
+def test_peer_closing_mid_frame_reports_the_missing_bytes():
+    out = _round0_frame("mlp", "fedavg")
+    server, client = socket.socketpair()
+    try:
+        client.sendall(out[:100])
+        client.close()
+        with pytest.raises(ProtocolError) as err:
+            recv_frame(server)
+        assert str(err.value) == f"connection closed {len(out) - 100} bytes early"
+    finally:
+        server.close()
+
+
+# ---------------------------------------------------------------- copies
+
+_D = 68_362  # the fedavg-sockets MLP: 256-256-10
+_SLACK = 64 * 1024
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decoding_a_raw_reply_copies_no_payload():
+    frame = encode_client_update(3, 0, np.random.default_rng(1).standard_normal(_D))
+    msg, peak = _traced_peak(lambda: federation._decode_reply(frame))
+    assert peak < _SLACK
+    assert msg.payload.shape == (_D,)
+    assert np.shares_memory(msg.payload, np.frombuffer(frame, np.uint8))
+    assert not msg.payload.flags.writeable
+
+
+def test_encoders_hold_one_frame_at_most():
+    values = np.random.default_rng(2).standard_normal(_D)
+    for encode in (lambda: encode_client_update(3, 0, values),
+                   lambda: encode_round(4, values)):
+        frame, peak = _traced_peak(encode)
+        assert peak <= len(frame) + _SLACK
+
+
+def _shifted(frame: bytes, shift: int) -> memoryview:
+    """frame copied to a writable buffer starting shift bytes past an
+    8-aligned address, so its payload lands at every alignment over 0..7."""
+    buf = np.zeros(len(frame) + 16, dtype=np.uint8)
+    start = -buf.ctypes.data % 8 + shift
+    buf[start:start + len(frame)] = np.frombuffer(frame, np.uint8)
+    return memoryview(buf[start:start + len(frame)])
+
+
+@pytest.mark.parametrize("method", ["subspace", "fedavg", "fedzo", "fedkseed"])
+def test_unaligned_read_only_round_snapshot_gives_the_same_replies(method):
+    # the worker's clients start from a view of the ROUND frame
+    cfg, model, clients, state = _experiment(method)
+    round_frame = encode_round(0, state.w)
+    want = [client_update_frame(cfg, model, state.partition, state.w, c, 0)
+            for c in clients]
+    aligned = set()
+    for shift in range(8):
+        _, w_view = decode_round(decode_frame(_shifted(round_frame, shift))[0])
+        assert not w_view.flags.writeable
+        aligned.add(w_view.flags.aligned)
+        got = [client_update_frame(cfg, model, state.partition, w_view, c, 0)
+               for c in clients]
+        assert got == want
+        assert np.array_equal(w_view, state.w)  # nothing wrote through
+    assert aligned == {True, False}
+
+
+@pytest.mark.parametrize("method", ["subspace", "fedavg", "fedzo", "fedkseed"])
+def test_unaligned_read_only_replies_aggregate_to_the_same_bits(method):
+    cfg, model, clients, state = _experiment(method)
+    frames = [client_update_frame(cfg, model, state.partition, state.w, c, 0)
+              for c in clients]
+    want_w, want_record, _ = apply_replies(copy.deepcopy(state), cfg, frames)
+    for shift in range(8):
+        got_w, got_record, msgs = apply_replies(
+            copy.deepcopy(state), cfg, [_shifted(f, shift) for f in frames])
+        assert got_w.tobytes() == want_w.tobytes()
+        assert got_record == want_record
+        payloads = [m.payload for m in msgs]
+        arrays = [getattr(p, "values", p) for p in payloads
+                  if not isinstance(p, ProjectedUpdate)]
+        arrays += [c for p in payloads if isinstance(p, ProjectedUpdate)
+                   for c in p.block_coords]
+        assert not any(a.flags.writeable for a in arrays)
