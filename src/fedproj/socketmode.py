@@ -36,6 +36,20 @@ the worker faults almost nothing after its first round and keeps its peak
 heap until it exits.  Other C libraries ignore these variables, and no bit
 depends on the allocator.  Like the BLAS variables they are set only while
 the worker starts: the server's allocator belongs to the caller.
+
+The worker gets its clients one at a time, not in its spawn arguments.  The
+spawn pickle holds the config, the model, the partition and one end of a
+private ``socket.socketpair``; before it accepts the TCP connection, the
+server sends each client down the other end as its own length-prefixed
+pickle, and the worker reads them all before it connects.  Pickled into the
+spawn arguments, the shards made the server hold the federation's data twice
+(8.87 MB traced for 4.11 MB of shards at the fedavg-sockets shape), and a
+worker that died while unpickling more than a pipe buffer of them left
+``start()`` blocked for good: CPython's spawn writes the whole pickle before
+it closes its copy of the child's read end.  The hand-off has the socket
+timeout, so a worker that dies there fails as one that dies before
+connecting, and one that hangs there fails after the timeout.  Client data
+never crosses the TCP stream.
 """
 
 from __future__ import annotations
@@ -44,7 +58,9 @@ import contextlib
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import socket
+import struct
 import time
 
 from .errors import DivergedError, ProtocolError
@@ -61,6 +77,7 @@ from .models import Dataset, ModelSpec
 from .wire import (
     TAG_DONE,
     TAG_SHUTDOWN,
+    _recv_into,
     decode_failure,
     decode_round,
     encode_done,
@@ -73,6 +90,7 @@ from .wire import (
 )
 
 _SOCKET_TIMEOUT = 60.0
+_CLIENT_HEAD = struct.Struct("<Q")  # byte length of one pickled client
 # Environment the worker starts with; see the module docstring.
 _WORKER_ENV = {
     "OPENBLAS_NUM_THREADS": "1",
@@ -103,10 +121,41 @@ def _worker_environment():
                 os.environ[name] = value
 
 
+def _send_clients(sock: socket.socket, clients: list[ClientDataset]) -> None:
+    """Each client down the hand-off socket as one length-prefixed pickle.
+
+    Returns quietly if the worker has died, so that ``_accept_worker`` can
+    name its exit code; ProtocolError if it stops reading for the timeout.
+    """
+    try:
+        for client in clients:
+            body = pickle.dumps(client, protocol=pickle.HIGHEST_PROTOCOL)
+            sock.sendall(_CLIENT_HEAD.pack(len(body)))
+            sock.sendall(body)
+    except (BrokenPipeError, ConnectionResetError):
+        pass
+    except TimeoutError:
+        raise ProtocolError(f"worker did not read its clients within "
+                            f"{_SOCKET_TIMEOUT:g} s") from None
+
+
+def _recv_clients(sock: socket.socket, count: int) -> list[ClientDataset]:
+    clients = []
+    for _ in range(count):
+        head = bytearray(_CLIENT_HEAD.size)
+        _recv_into(sock, memoryview(head))
+        body = bytearray(_CLIENT_HEAD.unpack(head)[0])
+        _recv_into(sock, memoryview(body))
+        clients.append(pickle.loads(body))
+    return clients
+
+
 def _worker_main(host: str, port: int, cfg: FedConfig, model: ModelSpec,
-                 clients: list[ClientDataset], partition) -> None:
+                 handoff: socket.socket, partition) -> None:
+    with handoff:
+        handoff.settimeout(_SOCKET_TIMEOUT)
+        by_id = {c.client_id: c for c in _recv_clients(handoff, cfg.num_clients)}
     sock = socket.create_connection((host, port), timeout=_SOCKET_TIMEOUT)
-    by_id = {c.client_id: c for c in clients}
     try:
         while True:
             try:
@@ -154,19 +203,27 @@ def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
     listener = socket.create_server((host, 0))
     listener.settimeout(_SOCKET_TIMEOUT)
     port = listener.getsockname()[1]
+    handoff, worker_end = socket.socketpair()
+    handoff.settimeout(_SOCKET_TIMEOUT)
     ctx = multiprocessing.get_context("spawn")
     worker = ctx.Process(target=_worker_main,
-                         args=(host, port, cfg, model, clients, state.partition),
+                         args=(host, port, cfg, model, worker_end, state.partition),
                          daemon=True)
     try:
         with _worker_environment():
             worker.start()
     except BaseException:
+        handoff.close()
         listener.close()
         raise
+    finally:
+        worker_end.close()
 
     records: list[RoundRecord] = []
+    conn = None
     try:
+        with handoff:
+            _send_clients(handoff, clients)
         conn = _accept_worker(listener, worker)
         try:
             for _ in range(cfg.rounds):
@@ -196,8 +253,10 @@ def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
             conn.close()
     finally:
         listener.close()
-        worker.join(timeout=_SOCKET_TIMEOUT)
+        if conn is not None:  # a connected worker stops on DONE or SHUTDOWN
+            worker.join(timeout=_SOCKET_TIMEOUT)
         if worker.is_alive():
             worker.terminate()
-            worker.join()
+        worker.join()
+        worker.close()
     return records

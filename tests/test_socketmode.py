@@ -1,15 +1,25 @@
 """The loopback TCP demo must replay the in-process records exactly."""
 
+import io
 import multiprocessing
+import multiprocessing.resource_tracker
 import os
+import pickle
 import platform
 import resource
+import socket
+import subprocess
+import sys
 import time
+import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedproj
+from fedproj import socketmode
 from fedproj.errors import (
     DivergedError,
     FedprojError,
@@ -87,6 +97,107 @@ def test_worker_that_dies_before_connecting_fails_fast():
     with pytest.raises(ProtocolError, match="exited with code 3"):
         run_experiment_sockets(cfg, model, clients, data)
     assert time.monotonic() - t0 < 10.0
+
+
+class SleepingClient(ClientDataset):
+    """A client whose unpickling in the worker sleeps for ten minutes."""
+
+    def __reduce__(self):
+        return time.sleep, (600,)
+
+
+def small_shard_task(first=ClientDataset):
+    """``task()``'s four clients, client 0 built as ``first``, for one round."""
+    model, data, clients = task()
+    clients[0] = first(0, clients[0].data)
+    cfg = FedConfig(num_clients=4, rounds=1, local_iters=1, total_bases=8,
+                    local_lr=0.05, root_seed=11, method="fedavg")
+    return cfg, model, clients, data
+
+
+def large_shard_task(first=ClientDataset):
+    """Four clients of 1 MB each; client 0 built as ``first``, and eval data."""
+    model = ModelSpec("logistic-regression", 256, 10, init_seed=1)
+    rng = np.random.default_rng(2)
+    clients = [ClientDataset(i, Dataset(rng.standard_normal((512, 256)),
+                                        rng.integers(0, 10, 512)))
+               for i in range(4)]
+    clients[0] = first(0, clients[0].data)
+    cfg = FedConfig(num_clients=4, rounds=1, local_iters=1, total_bases=8,
+                    local_lr=0.05, root_seed=11, batch_size=32, method="fedavg")
+    return cfg, model, clients, synthetic_classification(40, 256, 10, seed=3)
+
+
+# run in a child process: before the clients went through the hand-off
+# socket, this call blocked for good in the spawn pickle's pipe write
+_DIES_READING_LARGE_SHARDS = """
+import time
+from fedproj.errors import ProtocolError
+from fedproj.socketmode import run_experiment_sockets
+from test_socketmode import ExitingClient, large_shard_task
+
+cfg, model, clients, eval_data = large_shard_task(ExitingClient)
+t0 = time.monotonic()
+try:
+    run_experiment_sockets(cfg, model, clients, eval_data)
+except ProtocolError as err:
+    print(f"{time.monotonic() - t0:.3f}", err)
+"""
+
+
+def test_worker_that_dies_reading_large_shards_fails_fast():
+    paths = [Path(fedproj.__file__).parents[1], Path(__file__).parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    done = subprocess.run([sys.executable, "-c", _DIES_READING_LARGE_SHARDS],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    elapsed, message = done.stdout.strip().split(" ", 1)
+    assert "exited with code 3" in message
+    assert float(elapsed) < 10.0
+
+
+@pytest.mark.parametrize("make_task, match", [
+    # the small shards all fit the socket buffer, so the server waits at accept
+    (small_shard_task, "did not connect within 2 s"),
+    (large_shard_task, "did not read its clients within 2 s"),
+])
+def test_worker_that_hangs_reading_its_clients_fails_after_the_timeout(
+        monkeypatch, make_task, match):
+    monkeypatch.setattr(socketmode, "_SOCKET_TIMEOUT", 2.0)
+    cfg, model, clients, data = make_task(SleepingClient)
+    t0 = time.monotonic()
+    with pytest.raises(ProtocolError, match=match):
+        run_experiment_sockets(cfg, model, clients, data)
+    assert time.monotonic() - t0 < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def fedavg_sockets_inputs(num_clients, examples_per_client=200):
+    """The fedavg-sockets shape: a 256-256-10 MLP, equal 0.41 MB shards."""
+    model = ModelSpec(kind="mlp", input_dim=256, output_dim=10, hidden_dim=256,
+                      init_seed=5)
+    data = synthetic_classification(examples_per_client * num_clients, 256, 10,
+                                    seed=6)
+    clients = partition_data(data, num_clients, seed=7)
+    cfg = FedConfig(num_clients=num_clients, rounds=0, local_iters=5,
+                    total_bases=256, local_lr=0.05, root_seed=11,
+                    batch_size=32, method="fedavg")
+    return cfg, model, clients, synthetic_classification(2000, 256, 10, seed=8)
+
+
+def test_server_peak_does_not_grow_with_the_clients():
+    def traced_peak(num_clients):
+        inputs = fedavg_sockets_inputs(num_clients)
+        tracemalloc.start()
+        try:
+            run_experiment_sockets(*inputs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    shard = fedavg_sockets_inputs(1)[2][0].data.features.nbytes
+    ten, twenty = traced_peak(10), traced_peak(20)
+    assert abs(twenty - ten) < shard, (ten, twenty, shard)
 
 
 def mlp_task():
@@ -185,15 +296,26 @@ WORKER_ENV = {
 }
 
 
+class ArgsPickler(pickle.Pickler):
+    """Pickles a Process's arguments as spawn does, with each socket as an id."""
+
+    def persistent_id(self, obj):
+        return "socket" if isinstance(obj, socket.socket) else None
+
+
 @pytest.fixture
 def starts(monkeypatch):
-    """Records the worker variables at each spawned Process.start; can refuse it."""
-    record = types.SimpleNamespace(env=[], fail=False)
+    """Records the worker variables and the pickled argument bytes at each
+    spawned Process.start; can refuse it."""
+    record = types.SimpleNamespace(env=[], args_bytes=[], fail=False)
     process_cls = multiprocessing.get_context("spawn").Process
     start = process_cls.start
 
     def recording_start(self):
         record.env.append({name: os.environ.get(name) for name in WORKER_ENV})
+        out = io.BytesIO()
+        ArgsPickler(out, protocol=pickle.HIGHEST_PROTOCOL).dump(self._args)
+        record.args_bytes.append(len(out.getvalue()))
         if record.fail:
             raise OSError("start refused")
         start(self)
@@ -222,6 +344,42 @@ def test_worker_starts_with_its_environment(monkeypatch, starts, preset, fail):
         assert len(run_experiment_sockets(cfg, model, clients, data)) == 1
     assert starts.env == [WORKER_ENV]
     assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("examples_per_client", [200, 800])
+def test_spawn_arguments_hold_no_client_data(starts, examples_per_client):
+    run_experiment_sockets(*fedavg_sockets_inputs(10, examples_per_client))
+    assert len(starts.args_bytes) == 1
+    assert starts.args_bytes[0] < 64 * 1024
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts this process's descriptors in /proc/self/fd")
+@pytest.mark.parametrize("first, error, match", [
+    (ClientDataset, OSError, "start refused"),
+    (ExitingClient, ProtocolError, "exited with code 3"),
+    (SleepingClient, ProtocolError, "did not read its clients"),
+])
+def test_every_descriptor_is_closed_after_a_failed_start(
+        monkeypatch, starts, first, error, match):
+    monkeypatch.setattr(socketmode, "_SOCKET_TIMEOUT", 2.0)
+    pairs = []
+    socketpair = socket.socketpair
+
+    def recording_socketpair(*args):
+        pairs.append(socketpair(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(socket, "socketpair", recording_socketpair)
+    starts.fail = error is OSError
+    cfg, model, clients, data = large_shard_task(first)
+    multiprocessing.resource_tracker.ensure_running()  # started once, kept open
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(error, match=match):
+        run_experiment_sockets(cfg, model, clients, data)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert [end.fileno() for end in pairs[0]] == [-1, -1]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
