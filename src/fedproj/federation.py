@@ -1,9 +1,9 @@
 """Round engines: seeded-subspace aggregation plus three baselines.
 
 One round, any method: the server snapshots w, every sampled client runs its
-local routine against that snapshot, and the server folds the replies back in
-ascending client-id order with ``w <- w - server_lr * mean(delta_i)``.  The
-methods differ only in what a reply carries:
+local routine against that snapshot, and the server takes exactly one reply
+per sampled client, in ascending client-id order, folding them in with
+``w <- w - server_lr * mean(delta_i)``.  ``_METHODS`` holds what a reply carries:
 
 * ``subspace``: first-order local steps, delta projected onto seeded random
   bases; the reply is (seed, per-block float32 coordinates), K + 1 numbers.
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,15 +55,14 @@ from .projection import (
     _even_split,
     _largest_remainder,
     allocate_budgets,
-    exact_project,
     project,
     reconstruct,
 )
 from .randbasis import RandomSeed, derive_subseed, trunc_gauss_stats, uniform_stream
-from .wire import decode_client_update, decode_frame, encode_client_update
+from .wire import (TAG_PROJECTED, TAG_RAW, TAG_SCALAR, decode_client_update,
+                   decode_frame, encode_client_update)
 from .zoo import LossFn, ScalarGrads, ZOConfig, fedkseed_local_step, replay_scalar_log, zo_gradient
 
-METHODS = ("subspace", "fedavg", "fedzo", "fedkseed")
 ALLOCATION_POLICIES = ("uniform", "norm-sqrt")
 SEED_POLICIES = ("per-round", "static")
 PARTITION_POLICIES = ("by-group", "single")
@@ -95,7 +95,6 @@ class FedConfig:
     accum: int = 1
     optimizer: str = "sgd"
     zo_epsilon: float = 1e-3
-    exact_projection: bool = False
 
     def __post_init__(self):
         if self.num_clients < 1:
@@ -329,15 +328,7 @@ def _local_rng(cfg: FedConfig, round_index: int, client_id: int) -> RandomSeed:
                           round_index=round_index + 1, basis_index=_IDX_LOCAL_RNG)
 
 
-# ---------------------------------------------------------------- clients
-
-def _grad_evals_per_client(cfg: FedConfig) -> int:
-    if cfg.method in ("subspace", "fedavg"):
-        return cfg.local_iters * cfg.accum
-    if cfg.method == "fedzo":
-        return cfg.local_iters * (cfg.total_bases + 1)
-    return 2 * cfg.total_bases  # fedkseed: base + probe per sequential step
-
+# ---------------------------------------------------------------- methods
 
 def _walk_loss(model: ModelSpec, data: Dataset) -> LossFn:
     """One client walk's loss evaluator, ``v -> loss(model, v, data)``.
@@ -351,14 +342,34 @@ def _walk_loss(model: ModelSpec, data: Dataset) -> LossFn:
     return lambda v: loss(model, v, batch)
 
 
-def _zo_local_delta(cfg: FedConfig, model: ModelSpec, w_values: np.ndarray,
-                    data: Dataset, zo_seed: RandomSeed) -> np.ndarray:
+def _client_sgd(cfg: FedConfig, model: ModelSpec, partition: BlockPartition | None,
+                w: np.ndarray, client: ClientDataset, round_index: int) -> np.ndarray:
+    """The client's first-order local run; returns its delta, fedavg's reply."""
+    _, delta = local_sgd(model, w, client.data, iters=cfg.local_iters,
+                         lr=cfg.local_lr, batch_size=cfg.batch_size,
+                         accum=cfg.accum,
+                         rng=_local_rng(cfg, round_index, client.client_id),
+                         optimizer=cfg.optimizer)
+    return delta
+
+
+def _subspace_client(cfg: FedConfig, model: ModelSpec, partition: BlockPartition,
+                     w: np.ndarray, client: ClientDataset, round_index: int
+                     ) -> ProjectedUpdate:
+    """subspace client: the local run's delta projected onto seeded bases."""
+    delta = _client_sgd(cfg, model, partition, w, client, round_index)
+    return project(UpdateVector(delta, partition),
+                   projection_seed(cfg, round_index, client.client_id))
+
+
+def _zo_client(cfg: FedConfig, model: ModelSpec, partition: None, w: np.ndarray,
+               client: ClientDataset, round_index: int) -> np.ndarray:
     """fedzo client: local_iters steps along zeroth-order gradient estimates."""
-    cur = w_values.copy()
-    loss_fn = _walk_loss(model, data)
+    zo_seed = projection_seed(cfg, round_index, client.client_id)
+    cur = w.copy()
+    loss_fn = _walk_loss(model, client.data)
     for t in range(cfg.local_iters):
-        zcfg = ZOConfig(epsilon=cfg.zo_epsilon,
-                        num_perturbations=cfg.total_bases,
+        zcfg = ZOConfig(epsilon=cfg.zo_epsilon, num_perturbations=cfg.total_bases,
                         seed=derive_subseed(zo_seed, round_index=t + 1))
         try:
             step = zo_gradient(loss_fn, cur, zcfg)
@@ -367,18 +378,56 @@ def _zo_local_delta(cfg: FedConfig, model: ModelSpec, w_values: np.ndarray,
         if not np.all(np.isfinite(step)):
             raise DivergedError("zeroth-order step became non-finite", iteration=t)
         cur -= cfg.local_lr * step
-    return w_values - cur
+    return w - cur
 
 
-def _client_sgd(cfg: FedConfig, model: ModelSpec, w_values: np.ndarray,
-                client: ClientDataset, round_index: int) -> np.ndarray:
-    """The client's first-order local run; returns its delta."""
-    _, delta = local_sgd(model, w_values, client.data, iters=cfg.local_iters,
-                         lr=cfg.local_lr, batch_size=cfg.batch_size,
-                         accum=cfg.accum,
-                         rng=_local_rng(cfg, round_index, client.client_id),
-                         optimizer=cfg.optimizer)
-    return delta
+def _kseed_client(cfg: FedConfig, model: ModelSpec, partition: None, w: np.ndarray,
+                  client: ClientDataset, round_index: int) -> ScalarGrads:
+    """fedkseed client: K sequential one-direction steps; replies their log."""
+    zcfg = ZOConfig(epsilon=cfg.zo_epsilon, num_perturbations=cfg.total_bases,
+                    seed=projection_seed(cfg, round_index, client.client_id))
+    try:
+        return fedkseed_local_step(w, _walk_loss(model, client.data),
+                                   zcfg, lr=cfg.local_lr)[1]
+    except NumericError as err:  # err.index is the sequential step
+        raise DivergedError(str(err), iteration=err.index) from err
+
+
+def _raw_delta(values: np.ndarray, state: ExperimentState, cfg: FedConfig) -> np.ndarray:
+    if len(values) != state.model.dim:
+        raise ProtocolError(f"raw delta has {len(values)} entries, "
+                            f"model has {state.model.dim}")
+    return values
+
+
+class _Method(NamedTuple):
+    """One method's reply tag and client and server halves; a reply carries a
+    seed exactly when its tag is not ``TAG_RAW``.  Each routine looks up the
+    module globals it calls when it runs, so rebinding one reaches every round."""
+
+    tag: int
+    client: Callable  # (cfg, model, partition, w, client, round) -> payload
+    delta: Callable  # (payload, state, cfg) -> the client's delta
+    units: Callable  # payload -> upload units
+    grad_evals: Callable  # cfg -> gradient evaluations per client per round
+
+
+_METHODS = {
+    "subspace": _Method(TAG_PROJECTED, _subspace_client,
+                        lambda p, state, cfg: reconstruct(p, state.partition),
+                        lambda p: p.total_coords,
+                        lambda cfg: cfg.local_iters * cfg.accum),
+    "fedavg": _Method(TAG_RAW, _client_sgd, _raw_delta, len,
+                      lambda cfg: cfg.local_iters * cfg.accum),
+    "fedzo": _Method(TAG_RAW, _zo_client, _raw_delta, len,
+                     lambda cfg: cfg.local_iters * (cfg.total_bases + 1)),
+    # fedkseed evaluates a base and a probe loss per sequential step
+    "fedkseed": _Method(TAG_SCALAR, _kseed_client,
+                        lambda p, state, cfg: state.w - replay_scalar_log(
+                            state.w, p, lr=cfg.local_lr),
+                        lambda p: p.count, lambda cfg: 2 * cfg.total_bases),
+}
+METHODS = tuple(_METHODS)
 
 
 def client_update_frame(cfg: FedConfig, model: ModelSpec,
@@ -390,29 +439,8 @@ def client_update_frame(cfg: FedConfig, model: ModelSpec,
     worker, which is what makes their byte streams identical.
     """
     try:
-        if cfg.method in ("subspace", "fedavg"):
-            delta = _client_sgd(cfg, model, w_values, client, round_index)
-            if cfg.method == "fedavg":
-                payload = delta
-            else:
-                seed = projection_seed(cfg, round_index, client.client_id)
-                payload = (exact_project if cfg.exact_projection else project)(
-                    UpdateVector(delta, partition), seed)
-        elif cfg.method == "fedzo":
-            payload = _zo_local_delta(cfg, model, w_values, client.data,
-                                      projection_seed(cfg, round_index,
-                                                      client.client_id))
-        else:  # fedkseed
-            zcfg = ZOConfig(epsilon=cfg.zo_epsilon,
-                            num_perturbations=cfg.total_bases,
-                            seed=projection_seed(cfg, round_index,
-                                                 client.client_id))
-            try:
-                _, payload = fedkseed_local_step(
-                    w_values, _walk_loss(model, client.data), zcfg,
-                    lr=cfg.local_lr)
-            except NumericError as err:  # err.index is the sequential step
-                raise DivergedError(str(err), iteration=err.index) from err
+        payload = _METHODS[cfg.method].client(cfg, model, partition, w_values,
+                                              client, round_index)
     except DivergedError as err:
         raise DivergedError(str(err), iteration=err.iteration,
                             round_index=round_index,
@@ -422,40 +450,16 @@ def client_update_frame(cfg: FedConfig, model: ModelSpec,
 
 # ---------------------------------------------------------------- server
 
-def _decode_reply(frame_bytes: bytes) -> ClientUpdateMsg:
+def _decode_reply(frame_bytes: bytes, method: _Method) -> ClientUpdateMsg:
     frame, used = decode_frame(frame_bytes)
     if used != len(frame_bytes):
         raise ProtocolError(f"{len(frame_bytes) - used} trailing bytes in reply")
     client_id, round_index, payload = decode_client_update(frame)
-    if isinstance(payload, ProjectedUpdate):
-        units = payload.total_coords
-    elif isinstance(payload, ScalarGrads):
-        units = payload.count
-    else:
-        units = int(payload.shape[0])
+    if frame.tag != method.tag:
+        raise ProtocolError(f"client {client_id} replied in round {round_index} with "
+                            f"tag {frame.tag:#04x}, not the method's {method.tag:#04x}")
     return ClientUpdateMsg(client_id=client_id, round_index=round_index,
-                           payload=payload, upload_units=units)
-
-
-def _client_delta(msg: ClientUpdateMsg, state: ExperimentState,
-                  cfg: FedConfig) -> np.ndarray:
-    payload = msg.payload
-    if isinstance(payload, ProjectedUpdate):
-        if state.partition is None:
-            raise ProtocolError("projected reply without a partition")
-        return reconstruct(payload, state.partition)
-    if isinstance(payload, ScalarGrads):
-        replayed = replay_scalar_log(state.w, payload, lr=cfg.local_lr)
-        return state.w - replayed
-    if payload.shape[0] != state.model.dim:
-        raise ProtocolError(
-            f"raw delta has {payload.shape[0]} entries, model has "
-            f"{state.model.dim}")
-    return payload
-
-
-def _seed_bearing(cfg: FedConfig) -> bool:
-    return cfg.method in ("subspace", "fedkseed")
+                           payload=payload, upload_units=method.units(payload))
 
 
 def apply_replies(state: ExperimentState, cfg: FedConfig,
@@ -463,25 +467,25 @@ def apply_replies(state: ExperimentState, cfg: FedConfig,
                   ) -> tuple[np.ndarray, RoundRecord, list[ClientUpdateMsg]]:
     """Fold one round of encoded replies into the global model.
 
-    Decodes, reconstructs per-client deltas, averages them in ascending
-    client-id order, applies the server step, and extends the accounting.
+    Takes exactly one reply per sampled client, in ascending client id and in
+    the method's format, or raises ProtocolError before the state changes;
+    averages the rebuilt deltas, applies the server step, extends the costs.
     """
     t0 = time.perf_counter()
-    msgs = sorted((_decode_reply(b) for b in frames),
-                  key=lambda m: m.client_id)
-    if not msgs:
-        raise ProtocolError("a round needs at least one reply")
-    for m in msgs:
-        if m.round_index != state.round_index:
-            raise ProtocolError(
-                f"client {m.client_id} replied for round {m.round_index} "
-                f"during round {state.round_index}")
+    method = _METHODS[cfg.method]
+    msgs = [_decode_reply(b, method) for b in frames]
+    got = [(m.client_id, m.round_index) for m in msgs]
+    due = [(c, state.round_index) for c in sample_clients(cfg, state.round_index)]
+    if got != due:
+        raise ProtocolError(
+            f"round {state.round_index} takes one reply from each sampled client "
+            f"in ascending id, as (client, round) {due}, not {got}")
 
     n = len(msgs)
     total = np.zeros(state.model.dim, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in msgs:
-            total += _client_delta(m, state, cfg)
+            total += method.delta(m.payload, state, cfg)
         total /= n
         total *= cfg.server_lr  # the bits of server_lr * (total / n)
         new_w = state.w - total
@@ -489,15 +493,12 @@ def apply_replies(state: ExperimentState, cfg: FedConfig,
         raise DivergedError("aggregated parameters are not finite", 0,
                             round_index=state.round_index)
 
-    per_client_upload = sum(m.upload_units for m in msgs) // n
-    seed_unit = 1 if _seed_bearing(cfg) else 0
-    state.cumulative_upload += sum(m.upload_units for m in msgs) + seed_unit * n
-    if _seed_bearing(cfg):
-        down = (n - 1) * (per_client_upload + seed_unit) * n
-    else:
-        down = state.model.dim * n
-    state.cumulative_download += down
-    state.cumulative_grad_evals += _grad_evals_per_client(cfg) * n
+    units = sum(m.upload_units for m in msgs)
+    seeded = method.tag != TAG_RAW
+    state.cumulative_upload += units + seeded * n
+    state.cumulative_download += ((n - 1) * (units // n + 1) * n if seeded
+                                  else state.model.dim * n)
+    state.cumulative_grad_evals += method.grad_evals(cfg) * n
 
     state.w = new_w
     global_loss = loss(state.model, new_w, state.eval_data)
@@ -554,7 +555,7 @@ def _calibration_norms(cfg: FedConfig, model: ModelSpec, w: np.ndarray,
     """Per-block delta norms from the first round-0 participant's local run."""
     first_id = sample_clients(cfg, 0)[0]
     client = next(c for c in clients if c.client_id == first_id)
-    delta = _client_sgd(cfg, model, w, client, 0)
+    delta = _client_sgd(cfg, model, None, w, client, 0)
     norms, at = [], 0
     for d in _block_layout(cfg, model):
         norms.append(float(np.linalg.norm(delta[at:at + d])))
@@ -574,10 +575,9 @@ def setup_experiment(cfg: FedConfig, model: ModelSpec,
         eval_data = Dataset(np.concatenate([c.data.features for c in clients]),
                             np.concatenate([c.data.targets for c in clients]))
     partition = None
-    if cfg.method == "subspace":
-        norms = None
-        if cfg.allocation_policy == "norm-sqrt":
-            norms = _calibration_norms(cfg, model, w, clients)
+    if _METHODS[cfg.method].tag == TAG_PROJECTED:
+        norms = (_calibration_norms(cfg, model, w, clients)
+                 if cfg.allocation_policy == "norm-sqrt" else None)
         partition = build_partition(cfg, model, norms)
     return ExperimentState(model=model, w=w, partition=partition,
                            eval_data=eval_data)

@@ -1,7 +1,9 @@
 """Round engines, data splits, client sampling, and cost accounting."""
 
+import dataclasses
 import hashlib
 import platform
+import re
 import resource
 
 import numpy as np
@@ -14,6 +16,7 @@ from fedproj.errors import (
     InvalidDimensionError,
     NumericError,
     PartitionError,
+    ProtocolError,
 )
 from fedproj.federation import (
     ClientDataset,
@@ -22,6 +25,7 @@ from fedproj.federation import (
     StreamRng,
     _local_rng,
     account_costs,
+    apply_replies,
     client_update_frame,
     partition_data,
     projection_seed,
@@ -40,7 +44,7 @@ from fedproj.models import (
     synthetic_classification,
     synthetic_regression,
 )
-from fedproj.projection import UpdateVector, reconstruct, project
+from fedproj.projection import UpdateVector, exact_project, reconstruct, project
 from fedproj.randbasis import basis_tile, uniform_stream
 from fedproj.repro import format_records_csv
 
@@ -303,14 +307,15 @@ class TestSubspaceRound:
         assert np.array_equal(new_w, w0)
         assert record.global_loss == pytest.approx(loss(model, state.w, data))
 
-    def test_single_client_exact_projection_is_one_sgd_step(self):
+    def test_single_client_exact_projection_is_one_sgd_step(self, monkeypatch):
         # T = 1 on the full batch makes delta = lr * grad(w0) exactly, and an
         # interpolating projection (K = d) reproduces it through the wire
+        monkeypatch.setattr(federation, "project", exact_project)
         model, data = small_regression(input_dim=11, n=64)
         clients = partition_data(data, 1, seed=3)
         cfg = base_cfg(num_clients=1, rounds=1, local_iters=1,
                        total_bases=model.dim, local_lr=0.1, server_lr=2.0,
-                       batch_size=64, exact_projection=True)
+                       batch_size=64)
         state = setup_experiment(cfg, model, clients, data)
         w0 = state.w.copy()
         g = grad(model, state.w, clients[0].data)
@@ -374,14 +379,14 @@ class TestFedavgRound:
         assert np.array_equal(new_w, want)
         assert all(m.upload_units == model.dim for m in msgs)
 
-    def test_exact_full_rank_subspace_matches_fedavg(self):
+    def test_exact_full_rank_subspace_matches_fedavg(self, monkeypatch):
+        monkeypatch.setattr(federation, "project", exact_project)
         model, data = small_regression(input_dim=15, n=120)
         clients = partition_data(data, 3, seed=2)
         common = dict(num_clients=3, rounds=4, local_iters=4, local_lr=0.05,
                       root_seed=13, batch_size=32)
-        sub = run_experiment(
-            FedConfig(total_bases=model.dim, exact_projection=True, **common),
-            model, clients, data)
+        sub = run_experiment(FedConfig(total_bases=model.dim, **common),
+                             model, clients, data)
         avg = run_experiment(
             FedConfig(total_bases=model.dim, method="fedavg", **common),
             model, clients, data)
@@ -606,6 +611,44 @@ class TestProtocolInvariants:
             assert [m.upload_units for m in msgs] == [units] * 3
             assert [m.client_id for m in msgs] == [0, 1, 2]
 
+    @pytest.mark.parametrize("case", [
+        "duplicate", "unsampled", "missing", "reversed",
+        "fedavg-to-subspace", "fedavg-to-fedkseed"])
+    def test_a_wrong_reply_set_raises_before_the_state_changes(self, case):
+        model, data = small_regression(input_dim=9, n=120)
+        clients = partition_data(data, 6, seed=4)
+        method = "fedkseed" if case == "fedavg-to-fedkseed" else "subspace"
+        cfg = base_cfg(num_clients=6, rounds=2, participation=0.5, method=method)
+        state = setup_experiment(cfg, model, clients, data)
+        run_round(state, clients, cfg)  # so every counter is already non-zero
+        r = state.round_index
+        sender = (dataclasses.replace(cfg, method="fedavg")
+                  if case.startswith("fedavg") else cfg)
+
+        def reply(cid):
+            return client_update_frame(sender, model, state.partition, state.w,
+                                       clients[cid], r)
+
+        picked = sample_clients(cfg, r)
+        unsampled = min(set(range(6)) - set(picked))
+        frames = [reply(c) for c in picked]
+        frames, named = {
+            "duplicate": ([frames[0], *frames], picked[0]),
+            "unsampled": (frames[:-1] + [reply(unsampled)], unsampled),
+            "missing": (frames[:-1], picked[-1]),
+            "reversed": (frames[::-1], picked[-1]),
+        }.get(case, (frames, picked[0]))
+
+        def snapshot():
+            return (state.w.tobytes(), state.round_index, state.cumulative_upload,
+                    state.cumulative_download, state.cumulative_grad_evals)
+
+        before = snapshot()
+        with pytest.raises(ProtocolError) as err:
+            apply_replies(state, cfg, frames)
+        assert re.search(rf"client {named}\b|\({named}, {r}\)", str(err.value))
+        assert snapshot() == before
+
     def test_record_equality_ignores_wall_times(self):
         a = RoundRecord(round_index=0, global_loss=1.0, eval_metric=0.5,
                         cumulative_upload=10, cumulative_download=20,
@@ -795,3 +838,34 @@ def test_subspace_round_keeps_its_heap_between_rounds():
         run_round(state, clients, cfg)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / 3 < 1000, faults
+
+
+_REBOUND = ("project", "reconstruct", "local_sgd", "fedkseed_local_step",
+            "replay_scalar_log", "encode_client_update", "decode_frame",
+            "decode_client_update")
+
+
+@pytest.mark.parametrize("method, used", [
+    ("subspace", {"project", "reconstruct", "local_sgd"}),
+    ("fedavg", {"local_sgd"}),
+    ("fedzo", set()),
+    ("fedkseed", {"fedkseed_local_step", "replay_scalar_log"}),
+])
+def test_a_round_calls_the_names_rebound_in_federation(monkeypatch, method,
+                                                       used):
+    # perfbench traces a layer by rebinding its name in this module, so the
+    # method table must look each one up when it runs, not hold it by value
+    model, data = small_regression(input_dim=9, n=120)
+    clients = partition_data(data, 6, seed=4)
+    cfg = base_cfg(num_clients=6, rounds=1, participation=0.5, method=method)
+    state = setup_experiment(cfg, model, clients, data)
+    calls = dict.fromkeys(_REBOUND, 0)
+    for name in _REBOUND:
+        def counting(*args, _name=name, _fn=getattr(federation, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(federation, name, counting)
+    run_round(state, clients, cfg)
+    codec = {"encode_client_update", "decode_frame", "decode_client_update"}
+    p = cfg.clients_per_round
+    assert calls == {name: p if name in used | codec else 0 for name in _REBOUND}

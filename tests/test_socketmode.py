@@ -6,6 +6,7 @@ import multiprocessing.resource_tracker
 import os
 import pickle
 import platform
+import re
 import resource
 import socket
 import subprocess
@@ -29,6 +30,7 @@ from fedproj.errors import (
 from fedproj.federation import (
     ClientDataset,
     FedConfig,
+    client_update_frame,
     partition_data,
     run_experiment,
     sample_clients,
@@ -40,6 +42,7 @@ from fedproj.models import (
     synthetic_regression,
 )
 from fedproj.socketmode import run_experiment_sockets
+from fedproj.wire import TAG_ROUND, decode_round, recv_frame, send_frame
 
 
 def task():
@@ -167,6 +170,39 @@ def test_worker_that_hangs_reading_its_clients_fails_after_the_timeout(
     cfg, model, clients, data = make_task(SleepingClient)
     t0 = time.monotonic()
     with pytest.raises(ProtocolError, match=match):
+        run_experiment_sockets(cfg, model, clients, data)
+    assert time.monotonic() - t0 < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def repeats_first_reply(host, port, cfg, model, handoff, partition):
+    """A worker that answers each ROUND with its first sampled client's reply,
+    sent once for every sampled client; it stops at any other frame."""
+    with handoff:
+        handoff.settimeout(10.0)
+        by_id = {c.client_id: c
+                 for c in socketmode._recv_clients(handoff, cfg.num_clients)}
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        while (frame := recv_frame(sock)).tag == TAG_ROUND:
+            round_index, w = decode_round(frame)
+            picked = sample_clients(cfg, round_index)
+            reply = client_update_frame(cfg, model, partition, w,
+                                        by_id[picked[0]], round_index)
+            for _ in picked:
+                send_frame(sock, reply)
+
+
+def test_server_rejects_a_repeated_reply(monkeypatch):
+    # the spawned worker imports the function from this module by name
+    monkeypatch.setattr(socketmode, "_worker_main", repeats_first_reply)
+    model, data, clients = task()
+    cfg = FedConfig(num_clients=4, rounds=2, local_iters=2, total_bases=8,
+                    local_lr=0.05, root_seed=11, batch_size=32,
+                    participation=0.5)
+    first = sample_clients(cfg, 0)[0]
+    t0 = time.monotonic()
+    with pytest.raises(ProtocolError,
+                       match=re.escape(f"not [({first}, 0), ({first}, 0)]")):
         run_experiment_sockets(cfg, model, clients, data)
     assert time.monotonic() - t0 < 10.0
     assert multiprocessing.active_children() == []

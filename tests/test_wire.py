@@ -327,7 +327,8 @@ def _traced_peak(fn):
 
 def test_decoding_a_raw_reply_copies_no_payload():
     frame = encode_client_update(3, 0, np.random.default_rng(1).standard_normal(_D))
-    msg, peak = _traced_peak(lambda: federation._decode_reply(frame))
+    fedavg = federation._METHODS["fedavg"]
+    msg, peak = _traced_peak(lambda: federation._decode_reply(frame, fedavg))
     assert peak < _SLACK
     assert msg.payload.shape == (_D,)
     assert np.shares_memory(msg.payload, np.frombuffer(frame, np.uint8))
