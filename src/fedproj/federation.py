@@ -2,8 +2,9 @@
 
 One round, any method: the server snapshots w, every sampled client runs its
 local routine against that snapshot, and the server takes exactly one reply
-per sampled client, in ascending client-id order, folding them in with
-``w <- w - server_lr * mean(delta_i)``.  ``_METHODS`` holds what a reply carries:
+per sampled client, in ascending client-id order, folding each into a running
+sum as it reads it and then applying ``w <- w - server_lr * mean(delta_i)``.
+``_METHODS`` holds what a reply carries:
 
 * ``subspace``: first-order local steps, delta projected onto seeded random
   bases; the reply is (seed, per-block float32 coordinates), K + 1 numbers.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -148,11 +149,10 @@ class ClientDataset:
 
 @dataclass(frozen=True)
 class ClientUpdateMsg:
-    """Decoded reply from one client; upload_units counts payload numbers."""
+    """One folded reply; upload_units counts its payload numbers."""
 
     client_id: int
     round_index: int
-    payload: object
     upload_units: int
 
 
@@ -393,13 +393,6 @@ def _kseed_client(cfg: FedConfig, model: ModelSpec, partition: None, w: np.ndarr
         raise DivergedError(str(err), iteration=err.index) from err
 
 
-def _raw_delta(values: np.ndarray, state: ExperimentState, cfg: FedConfig) -> np.ndarray:
-    if len(values) != state.model.dim:
-        raise ProtocolError(f"raw delta has {len(values)} entries, "
-                            f"model has {state.model.dim}")
-    return values
-
-
 class _Method(NamedTuple):
     """One method's reply tag and client and server halves; a reply carries a
     seed exactly when its tag is not ``TAG_RAW``.  Each routine looks up the
@@ -417,9 +410,9 @@ _METHODS = {
                         lambda p, state, cfg: reconstruct(p, state.partition),
                         lambda p: p.total_coords,
                         lambda cfg: cfg.local_iters * cfg.accum),
-    "fedavg": _Method(TAG_RAW, _client_sgd, _raw_delta, len,
+    "fedavg": _Method(TAG_RAW, _client_sgd, lambda p, state, cfg: p, len,
                       lambda cfg: cfg.local_iters * cfg.accum),
-    "fedzo": _Method(TAG_RAW, _zo_client, _raw_delta, len,
+    "fedzo": _Method(TAG_RAW, _zo_client, lambda p, state, cfg: p, len,
                      lambda cfg: cfg.local_iters * (cfg.total_bases + 1)),
     # fedkseed evaluates a base and a probe loss per sequential step
     "fedkseed": _Method(TAG_SCALAR, _kseed_client,
@@ -438,19 +431,21 @@ def client_update_frame(cfg: FedConfig, model: ModelSpec,
     This single code path serves both the in-process simulator and the socket
     worker, which is what makes their byte streams identical.
     """
+    method = _METHODS[cfg.method]
     try:
-        payload = _METHODS[cfg.method].client(cfg, model, partition, w_values,
-                                              client, round_index)
+        payload = method.client(cfg, model, partition, w_values, client, round_index)
     except DivergedError as err:
         raise DivergedError(str(err), iteration=err.iteration,
                             round_index=round_index,
                             client_id=client.client_id) from err
-    return encode_client_update(client.client_id, round_index, payload)
+    return encode_client_update(method.tag, client.client_id, round_index, payload)
 
 
 # ---------------------------------------------------------------- server
 
-def _decode_reply(frame_bytes: bytes, method: _Method) -> ClientUpdateMsg:
+def _decode_reply(frame_bytes: bytes, method: _Method, units: int) -> tuple:
+    """(client_id, round, payload) of one reply, which must carry the method's
+    tag and ``units`` payload numbers."""
     frame, used = decode_frame(frame_bytes)
     if used != len(frame_bytes):
         raise ProtocolError(f"{len(frame_bytes) - used} trailing bytes in reply")
@@ -458,34 +453,45 @@ def _decode_reply(frame_bytes: bytes, method: _Method) -> ClientUpdateMsg:
     if frame.tag != method.tag:
         raise ProtocolError(f"client {client_id} replied in round {round_index} with "
                             f"tag {frame.tag:#04x}, not the method's {method.tag:#04x}")
-    return ClientUpdateMsg(client_id=client_id, round_index=round_index,
-                           payload=payload, upload_units=method.units(payload))
+    count = method.units(payload)
+    if count != units:
+        raise ProtocolError(f"client {client_id} replied in round {round_index} with "
+                            f"{count} numbers, not {units}")
+    return client_id, round_index, payload
 
 
-def apply_replies(state: ExperimentState, cfg: FedConfig,
-                  frames: list[bytes], wall_local: float = 0.0
+def apply_replies(state: ExperimentState, cfg: FedConfig, replies: Iterable
                   ) -> tuple[np.ndarray, RoundRecord, list[ClientUpdateMsg]]:
-    """Fold one round of encoded replies into the global model.
+    """Fold one round of encoded replies into the global model, one at a time.
 
-    Takes exactly one reply per sampled client, in ascending client id and in
-    the method's format, or raises ProtocolError before the state changes;
-    averages the rebuilt deltas, applies the server step, extends the costs.
+    Each reply is decoded, checked and added to a running sum, then dropped
+    before the next is read.  Takes exactly one reply per sampled client, in
+    ascending client id and in the method's format, or raises ProtocolError
+    before the state changes.  ``wall_local`` is the time spent waiting on
+    ``replies``; ``wall_aggregate`` is the rest of the call.
     """
     t0 = time.perf_counter()
     method = _METHODS[cfg.method]
-    msgs = [_decode_reply(b, method) for b in frames]
-    got = [(m.client_id, m.round_index) for m in msgs]
+    units = state.model.dim if method.tag == TAG_RAW else cfg.total_bases
+    total = np.zeros(state.model.dim, dtype=np.float64)
+    got, wall_local, t = [], 0.0, time.perf_counter()
+    for frame in replies:
+        wall_local += time.perf_counter() - t
+        client_id, round_index, payload = _decode_reply(frame, method, units)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += method.delta(payload, state, cfg)
+        got.append((client_id, round_index))
+        del frame, payload  # so the next reply is read with this one dropped
+        t = time.perf_counter()
+    wall_local += time.perf_counter() - t
     due = [(c, state.round_index) for c in sample_clients(cfg, state.round_index)]
     if got != due:
         raise ProtocolError(
             f"round {state.round_index} takes one reply from each sampled client "
             f"in ascending id, as (client, round) {due}, not {got}")
 
-    n = len(msgs)
-    total = np.zeros(state.model.dim, dtype=np.float64)
+    n = len(got)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in msgs:
-            total += method.delta(m.payload, state, cfg)
         total /= n
         total *= cfg.server_lr  # the bits of server_lr * (total / n)
         new_w = state.w - total
@@ -493,10 +499,9 @@ def apply_replies(state: ExperimentState, cfg: FedConfig,
         raise DivergedError("aggregated parameters are not finite", 0,
                             round_index=state.round_index)
 
-    units = sum(m.upload_units for m in msgs)
     seeded = method.tag != TAG_RAW
-    state.cumulative_upload += units + seeded * n
-    state.cumulative_download += ((n - 1) * (units // n + 1) * n if seeded
+    state.cumulative_upload += (units + seeded) * n
+    state.cumulative_download += ((n - 1) * (units + 1) * n if seeded
                                   else state.model.dim * n)
     state.cumulative_grad_evals += method.grad_evals(cfg) * n
 
@@ -511,23 +516,20 @@ def apply_replies(state: ExperimentState, cfg: FedConfig,
         cumulative_download=state.cumulative_download,
         cumulative_grad_evals=state.cumulative_grad_evals,
         wall_local=wall_local,
-        wall_aggregate=time.perf_counter() - t0,
+        wall_aggregate=time.perf_counter() - t0 - wall_local,
     )
     state.round_index += 1
-    return new_w, record, msgs
+    return new_w, record, [ClientUpdateMsg(c, r, units) for c, r in got]
 
 
 def run_round(state: ExperimentState, clients: list[ClientDataset],
               cfg: FedConfig) -> tuple[np.ndarray, RoundRecord, list[ClientUpdateMsg]]:
-    """One synchronized round: sample, run clients, aggregate."""
-    picked = sample_clients(cfg, state.round_index)
+    """One synchronized round; each client runs when the server asks for its reply."""
     by_id = {c.client_id: c for c in clients}
-    t0 = time.perf_counter()
-    frames = [client_update_frame(cfg, state.model, state.partition,
-                                  state.w, by_id[i], state.round_index)
-              for i in picked]
-    wall_local = time.perf_counter() - t0
-    return apply_replies(state, cfg, frames, wall_local=wall_local)
+    w, r = state.w, state.round_index
+    replies = (client_update_frame(cfg, state.model, state.partition, w, by_id[i], r)
+               for i in sample_clients(cfg, r))
+    return apply_replies(state, cfg, replies)
 
 
 # ---------------------------------------------------------------- experiment

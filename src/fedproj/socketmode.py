@@ -9,14 +9,15 @@ as the in-process simulator, and streams the replies back.  Because both modes
 route identical bytes into ``apply_replies``, their records match field for
 field apart from wall times.
 
-A reply's d floats are copied twice on the server: ``recv_frame`` reads the
-frame in place into one buffer, and ``encode_frame`` joins that buffer's body
-into the frame ``apply_replies`` reads.  The received buffer goes when the next
-reply arrives, so a round holds each reply once: the payloads
-``apply_replies`` decodes are read-only views of these frames, not copies,
-and keep them alive for as long as they live.  The worker reads the ROUND
-snapshot the same way, as a read-only view of its received frame, which each
-client copies before it steps.
+The server holds one reply at a time: ``apply_replies`` reads each from a
+generator, which calls ``recv_frame`` only when asked, and folds it into its
+running sum before it asks for the next.  A reply's d floats are copied twice
+on the server: ``recv_frame`` reads the frame in place into one buffer, and
+``encode_frame`` joins that buffer's body into the frame ``apply_replies``
+reads.  The received buffer goes when the next reply arrives, so at most two
+reply buffers live at once, whatever the number of clients.  The worker reads
+the ROUND snapshot the same way, as a read-only view of its received frame,
+which each client copies before it steps.
 
 The worker runs its BLAS single-threaded.  Its gemms are per-client batches
 far too small to gain from a second thread, and that second thread waits on a
@@ -61,7 +62,6 @@ import os
 import pickle
 import socket
 import struct
-import time
 
 from .errors import DivergedError, ProtocolError
 from .federation import (
@@ -177,6 +177,18 @@ def _worker_main(host: str, port: int, cfg: FedConfig, model: ModelSpec,
         sock.close()
 
 
+def _replies(conn: socket.socket, cfg: FedConfig, round_index: int):
+    """The round's replies, each read from ``conn`` only when asked for; a
+    failing worker's SHUTDOWN raises the DivergedError it carries."""
+    for _ in sample_clients(cfg, round_index):
+        reply = recv_frame(conn)
+        if reply.tag == TAG_SHUTDOWN:
+            client_id, iteration, text = decode_failure(reply.body)
+            raise DivergedError(text, iteration=iteration, round_index=round_index,
+                                client_id=client_id)
+        yield encode_frame(reply.tag, reply.body)
+
+
 def _accept_worker(listener: socket.socket, worker) -> socket.socket:
     """The worker's connection, or ProtocolError as soon as the worker dies."""
     ready = multiprocessing.connection.wait([listener, worker.sentinel],
@@ -228,19 +240,8 @@ def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
         try:
             for _ in range(cfg.rounds):
                 send_frame(conn, encode_round(state.round_index, state.w))
-                t0 = time.perf_counter()
-                frames = []
-                for _ in sample_clients(cfg, state.round_index):
-                    reply = recv_frame(conn)
-                    if reply.tag == TAG_SHUTDOWN:
-                        client_id, iteration, text = decode_failure(reply.body)
-                        raise DivergedError(text, iteration=iteration,
-                                            round_index=state.round_index,
-                                            client_id=client_id)
-                    frames.append(encode_frame(reply.tag, reply.body))
-                wall_local = time.perf_counter() - t0
-                _, record, _ = apply_replies(state, cfg, frames,
-                                             wall_local=wall_local)
+                _, record, _ = apply_replies(
+                    state, cfg, _replies(conn, cfg, state.round_index))
                 records.append(record)
             send_frame(conn, encode_done(cfg.rounds))
         except BaseException:

@@ -47,8 +47,7 @@ TAG_ROUND = 0x10
 TAG_DONE = 0x11
 TAG_SHUTDOWN = 0x7F
 
-_CLIENT_TAGS = (TAG_PROJECTED, TAG_SCALAR, TAG_RAW)
-_ALL_TAGS = _CLIENT_TAGS + (TAG_ROUND, TAG_DONE, TAG_SHUTDOWN)
+_ALL_TAGS = (TAG_PROJECTED, TAG_SCALAR, TAG_RAW, TAG_ROUND, TAG_DONE, TAG_SHUTDOWN)
 
 # hard ceiling on one frame; a desk-scale d=1e5 raw update is ~800KB
 MAX_FRAME_BYTES = 1 << 28
@@ -118,10 +117,6 @@ def _projected_parts(msg: ProjectedUpdate) -> list:
     return parts
 
 
-def encode_projected(msg: ProjectedUpdate) -> bytes:
-    return b"".join(_projected_parts(msg))
-
-
 def decode_projected(body) -> ProjectedUpdate:
     body = _view(body)
     _need(body, 0, 1, "version byte")
@@ -144,10 +139,6 @@ def _scalar_parts(grads: ScalarGrads) -> list:
             *_floats(grads.values, "<f8", "scalar count")]
 
 
-def encode_scalar_grads(grads: ScalarGrads) -> bytes:
-    return b"".join(_scalar_parts(grads))
-
-
 def decode_scalar_grads(body) -> ScalarGrads:
     body = _view(body)
     seed, off = _read_u64(body, 0, "seed")
@@ -165,10 +156,6 @@ def _raw_parts(values: np.ndarray) -> list:
     return _floats(vals, "<f8", "value count")
 
 
-def encode_raw(values: np.ndarray) -> bytes:
-    return b"".join(_raw_parts(values))
-
-
 def decode_raw(body) -> np.ndarray:
     body = _view(body)
     n, off = _read_u32(body, 0, "value count")
@@ -176,6 +163,14 @@ def decode_raw(body) -> np.ndarray:
     if off != len(body):
         raise ProtocolError(f"{len(body) - off} trailing bytes after values")
     return vals
+
+
+# client tag -> (payload join parts, payload decoder)
+_CLIENT_CODECS = {
+    TAG_PROJECTED: (_projected_parts, decode_projected),
+    TAG_SCALAR: (_scalar_parts, decode_scalar_grads),
+    TAG_RAW: (_raw_parts, decode_raw),
+}
 
 
 # ---------------------------------------------------------------- frames
@@ -223,29 +218,26 @@ def decode_frame(buf) -> tuple[Frame, int]:
     return Frame(tag=tag, body=buf[off + 1:off + length]), off + length
 
 
-def encode_client_update(client_id: int, round_index: int, payload) -> bytes:
-    """Wrap a payload object in its envelope and frame, picking the tag by type."""
-    head = [_u32(client_id, "client id"), _u32(round_index, "round")]
-    if isinstance(payload, ProjectedUpdate):
-        return _frame(TAG_PROJECTED, head + _projected_parts(payload))
-    if isinstance(payload, ScalarGrads):
-        return _frame(TAG_SCALAR, head + _scalar_parts(payload))
-    return _frame(TAG_RAW, head + _raw_parts(payload))
+def _client_codec(tag: int) -> tuple:
+    if tag not in _CLIENT_CODECS:
+        raise ProtocolError(f"tag {tag:#04x} is not a client update")
+    return _CLIENT_CODECS[tag]
+
+
+def encode_client_update(tag: int, client_id: int, round_index: int, payload) -> bytes:
+    """Wrap a payload object in its envelope and a frame of the given client tag."""
+    parts, _ = _client_codec(tag)
+    return _frame(tag, [_u32(client_id, "client id"), _u32(round_index, "round"),
+                        *parts(payload)])
 
 
 def decode_client_update(frame: Frame):
     """Unwrap (client_id, round, payload) from a client frame."""
-    if frame.tag not in _CLIENT_TAGS:
-        raise ProtocolError(f"tag {frame.tag:#04x} is not a client update")
+    _, decode = _client_codec(frame.tag)
     body = _view(frame.body)
     client_id, off = _read_u32(body, 0, "client id")
     round_index, off = _read_u32(body, off, "round")
-    body = body[off:]
-    if frame.tag == TAG_PROJECTED:
-        return client_id, round_index, decode_projected(body)
-    if frame.tag == TAG_SCALAR:
-        return client_id, round_index, decode_scalar_grads(body)
-    return client_id, round_index, decode_raw(body)
+    return client_id, round_index, decode(body[off:])
 
 
 def encode_round(round_index: int, values: np.ndarray) -> bytes:

@@ -5,6 +5,7 @@ import hashlib
 import platform
 import re
 import resource
+import time
 
 import numpy as np
 import pytest
@@ -47,6 +48,9 @@ from fedproj.models import (
 from fedproj.projection import UpdateVector, exact_project, reconstruct, project
 from fedproj.randbasis import basis_tile, uniform_stream
 from fedproj.repro import format_records_csv
+from fedproj.wire import TAG_SCALAR, decode_client_update, decode_frame, \
+    encode_client_update
+from fedproj.zoo import ScalarGrads
 
 
 def small_regression(input_dim: int = 20, n: int = 300):
@@ -61,6 +65,23 @@ def base_cfg(**overrides) -> FedConfig:
                   local_lr=0.05, root_seed=11, batch_size=32)
     kwargs.update(overrides)
     return FedConfig(**kwargs)
+
+
+def record_replies(monkeypatch) -> list:
+    """A list that collects each reply frame the rounds' clients encode."""
+    frames = []
+
+    def recording(*args, _make=federation.client_update_frame):
+        frames.append(_make(*args))
+        return frames[-1]
+
+    monkeypatch.setattr(federation, "client_update_frame", recording)
+    return frames
+
+
+def decoded(frame: bytes) -> tuple:
+    """(client_id, round, payload) of one reply frame."""
+    return decode_client_update(decode_frame(frame)[0])
 
 
 class TestFedConfig:
@@ -512,23 +533,25 @@ class TestRunExperiment:
 
 
 class TestProtocolInvariants:
-    def test_server_reconstruction_matches_client_bit_for_bit(self):
+    def test_server_reconstruction_matches_client_bit_for_bit(self, monkeypatch):
         model, data = small_regression(input_dim=12, n=80)
         clients = partition_data(data, 3, seed=4)
         cfg = base_cfg(num_clients=3, rounds=1)
         state = setup_experiment(cfg, model, clients, data)
         part = state.partition
         w0 = state.w.copy()
-        _, _, msgs = run_round(state, clients, cfg)
-        for msg in msgs:
-            server_side = reconstruct(msg.payload, part)
-            client = clients[msg.client_id]
+        frames = record_replies(monkeypatch)
+        run_round(state, clients, cfg)
+        assert len(frames) == 3
+        for client_id, _, payload in map(decoded, frames):
+            server_side = reconstruct(payload, part)
+            client = clients[client_id]
             _, delta = local_sgd(model, w0, client.data,
                                  iters=cfg.local_iters, lr=cfg.local_lr,
                                  batch_size=cfg.batch_size,
                                  rng=_local_rng(cfg, 0, client.client_id))
             local = reconstruct(project(UpdateVector(delta, part),
-                                        projection_seed(cfg, 0, msg.client_id)),
+                                        projection_seed(cfg, 0, client_id)),
                                 part)
             assert np.array_equal(server_side, local)
 
@@ -577,24 +600,25 @@ class TestProtocolInvariants:
             vals = [getattr(r, field) for r in records]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_doubling_server_lr_doubles_the_step(self):
+    def test_doubling_server_lr_doubles_the_step(self, monkeypatch):
         # recover the mean reconstruction from the replies, then check both
         # applied parameter vectors against it bit for bit
         model, data = small_regression(n=80)
         clients = partition_data(data, 4, seed=7)
         final = {}
-        msgs = None
+        frames = record_replies(monkeypatch)
         for server_lr in (1.0, 2.0):
+            frames.clear()
             cfg = base_cfg(rounds=1, server_lr=server_lr)
             state = setup_experiment(cfg, model, clients, data)
             w0 = state.w.copy()
             part = state.partition
-            _, _, msgs = run_round(state, clients, cfg)
+            run_round(state, clients, cfg)
             final[server_lr] = state.w
         total = np.zeros(model.dim)
-        for m in msgs:
-            total += reconstruct(m.payload, part)
-        mean_step = total / len(msgs)
+        for _, _, payload in map(decoded, frames):
+            total += reconstruct(payload, part)
+        mean_step = total / len(frames)
         assert np.array_equal(final[1.0], w0 - mean_step)
         assert np.array_equal(final[2.0], w0 - 2.0 * mean_step)
 
@@ -613,11 +637,12 @@ class TestProtocolInvariants:
 
     @pytest.mark.parametrize("case", [
         "duplicate", "unsampled", "missing", "reversed",
-        "fedavg-to-subspace", "fedavg-to-fedkseed"])
+        "fedavg-to-subspace", "fedavg-to-fedkseed", "short-scalar-log"])
     def test_a_wrong_reply_set_raises_before_the_state_changes(self, case):
         model, data = small_regression(input_dim=9, n=120)
         clients = partition_data(data, 6, seed=4)
-        method = "fedkseed" if case == "fedavg-to-fedkseed" else "subspace"
+        method = ("fedkseed" if case in ("fedavg-to-fedkseed", "short-scalar-log")
+                  else "subspace")
         cfg = base_cfg(num_clients=6, rounds=2, participation=0.5, method=method)
         state = setup_experiment(cfg, model, clients, data)
         run_round(state, clients, cfg)  # so every counter is already non-zero
@@ -629,9 +654,16 @@ class TestProtocolInvariants:
             return client_update_frame(sender, model, state.partition, state.w,
                                        clients[cid], r)
 
+        def short(frame):  # the reply's first 3 of its K = 8 scalars
+            cid, rnd, grads = decoded(frame)
+            return encode_client_update(TAG_SCALAR, cid, rnd, ScalarGrads(
+                seed=grads.seed, values=grads.values[:3]))
+
         picked = sample_clients(cfg, r)
         unsampled = min(set(range(6)) - set(picked))
         frames = [reply(c) for c in picked]
+        if case == "short-scalar-log":
+            frames[0] = short(frames[0])
         frames, named = {
             "duplicate": ([frames[0], *frames], picked[0]),
             "unsampled": (frames[:-1] + [reply(unsampled)], unsampled),
@@ -648,6 +680,27 @@ class TestProtocolInvariants:
             apply_replies(state, cfg, frames)
         assert re.search(rf"client {named}\b|\({named}, {r}\)", str(err.value))
         assert snapshot() == before
+
+    def test_a_round_splits_its_time_between_waiting_and_folding(self, monkeypatch):
+        # wall_local is the time apply_replies waits on its replies, and
+        # wall_aggregate the rest: here 3 clients and 1 evaluation sleep s each
+        s = 0.05
+
+        def slowed(fn):
+            def slow(*args, **kwargs):
+                time.sleep(s)
+                return fn(*args, **kwargs)
+            return slow
+
+        for name in ("client_update_frame", "loss"):
+            monkeypatch.setattr(federation, name, slowed(getattr(federation, name)))
+        model, data = small_regression(n=60)
+        clients = partition_data(data, 3, seed=4)
+        cfg = base_cfg(num_clients=3, rounds=1)
+        state = setup_experiment(cfg, model, clients, data)
+        _, record, _ = run_round(state, clients, cfg)
+        assert 3 * s <= record.wall_local < 4 * s
+        assert s <= record.wall_aggregate < 3 * s
 
     def test_record_equality_ignores_wall_times(self):
         a = RoundRecord(round_index=0, global_loss=1.0, eval_metric=0.5,

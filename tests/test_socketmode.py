@@ -1,5 +1,6 @@
 """The loopback TCP demo must replay the in-process records exactly."""
 
+import dataclasses
 import io
 import multiprocessing
 import multiprocessing.resource_tracker
@@ -234,6 +235,31 @@ def test_server_peak_does_not_grow_with_the_clients():
     shard = fedavg_sockets_inputs(1)[2][0].data.features.nbytes
     ten, twenty = traced_peak(10), traced_peak(20)
     assert abs(twenty - ten) < shard, (ten, twenty, shard)
+
+
+_RAW_FRAME = 546_913  # a fedavg reply at d = 68,362
+
+
+@pytest.mark.parametrize("run", [run_experiment, run_experiment_sockets])
+def test_a_round_holds_one_reply_at_a_time(run):
+    # the round's peak over a zero-round run: a server that kept every reply
+    # until it aggregated would hold 10 more raw frames at 20 clients
+    def round_peak(num_clients):
+        cfg, model, clients, eval_data = fedavg_sockets_inputs(
+            num_clients, examples_per_client=2000 // num_clients)
+        peaks = []
+        for rounds in (0, 1):
+            tracemalloc.start()
+            try:
+                run(dataclasses.replace(cfg, rounds=rounds), model, clients,
+                    eval_data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks[1] - peaks[0]
+
+    ten, twenty = round_peak(10), round_peak(20)
+    assert twenty - ten < _RAW_FRAME, (ten, twenty)
 
 
 def mlp_task():

@@ -39,10 +39,7 @@ from fedproj.wire import (
     encode_done,
     encode_failure,
     encode_frame,
-    encode_projected,
-    encode_raw,
     encode_round,
-    encode_scalar_grads,
     encode_shutdown,
     recv_frame,
     send_frame,
@@ -56,16 +53,22 @@ def _sample_projected() -> tuple[ProjectedUpdate, BlockPartition]:
     return project(UpdateVector(delta, part), seed=77), part
 
 
+def _payload_bytes(tag: int, payload) -> bytes:
+    """A payload's encoded body: its client frame past the 13-byte frame
+    head and envelope."""
+    return encode_client_update(tag, 0, 0, payload)[13:]
+
+
 def test_projected_layout_is_frozen():
     msg = ProjectedUpdate(partition_id=0x01020304, seed=0x1122334455667788,
                           block_coords=(np.array([1.0], dtype=np.float32),))
-    assert encode_projected(msg) == bytes.fromhex(
+    assert _payload_bytes(TAG_PROJECTED, msg) == bytes.fromhex(
         "01" "04030201" "8877665544332211" "01000000" "0000803f")
 
 
 def test_projected_roundtrip_bit_exact():
     msg, part = _sample_projected()
-    back = decode_projected(encode_projected(msg))
+    back = decode_projected(_payload_bytes(TAG_PROJECTED, msg))
     assert back.partition_id == msg.partition_id
     assert back.seed == msg.seed
     assert back.version == msg.version
@@ -78,13 +81,13 @@ def test_projected_roundtrip_bit_exact():
 def test_reconstruction_survives_the_codec():
     msg, part = _sample_projected()
     direct = reconstruct(msg, part)
-    routed = reconstruct(decode_projected(encode_projected(msg)), part)
+    routed = reconstruct(decode_projected(_payload_bytes(TAG_PROJECTED, msg)), part)
     assert np.array_equal(direct, routed)
 
 
 def test_scalar_grads_roundtrip_bit_exact():
     grads = ScalarGrads(seed=2 ** 63 + 9, values=np.array([1e-300, -3.5, np.pi]))
-    back = decode_scalar_grads(encode_scalar_grads(grads))
+    back = decode_scalar_grads(_payload_bytes(TAG_SCALAR, grads))
     assert back.seed == grads.seed
     assert np.array_equal(back.values, grads.values)
     assert back.values.dtype == np.float64
@@ -92,9 +95,9 @@ def test_scalar_grads_roundtrip_bit_exact():
 
 def test_raw_roundtrip():
     vals = np.random.default_rng(0).standard_normal(100)
-    assert np.array_equal(decode_raw(encode_raw(vals)), vals)
+    assert np.array_equal(decode_raw(_payload_bytes(TAG_RAW, vals)), vals)
     with pytest.raises(ProtocolError):
-        encode_raw(np.zeros((2, 2)))
+        _payload_bytes(TAG_RAW, np.zeros((2, 2)))
 
 
 def test_client_update_envelope_all_payloads():
@@ -102,7 +105,7 @@ def test_client_update_envelope_all_payloads():
     grads = ScalarGrads(seed=5, values=np.arange(4.0))
     raw = np.arange(6.0)
     for payload, tag in ((msg, TAG_PROJECTED), (grads, TAG_SCALAR), (raw, TAG_RAW)):
-        buf = encode_client_update(9, 3, payload)
+        buf = encode_client_update(tag, 9, 3, payload)
         frame, used = decode_frame(buf)
         assert used == len(buf)
         assert frame.tag == tag
@@ -149,20 +152,22 @@ def test_error_paths():
     with pytest.raises(ProtocolError):
         decode_frame(b"\x01\x00\x00\x00\x55")  # unknown tag
     with pytest.raises(ProtocolError):
-        decode_scalar_grads(encode_scalar_grads(
-            ScalarGrads(seed=1, values=np.ones(2))) + b"\x00")
+        decode_scalar_grads(_payload_bytes(
+            TAG_SCALAR, ScalarGrads(seed=1, values=np.ones(2))) + b"\x00")
     with pytest.raises(ProtocolError):
-        decode_raw(encode_raw(np.ones(2)) + b"\x00")
+        decode_raw(_payload_bytes(TAG_RAW, np.ones(2)) + b"\x00")
     with pytest.raises(ProtocolError):
         decode_projected(b"\x01\x00\x00\x00\x00")  # no seed
     with pytest.raises(ProtocolError):
-        encode_client_update(1 << 32, 0, np.ones(2))
+        encode_client_update(TAG_RAW, 1 << 32, 0, np.ones(2))
+    with pytest.raises(ProtocolError, match="^tag 0x10 is not a client update$"):
+        encode_client_update(TAG_ROUND, 0, 0, np.ones(2))
     with pytest.raises(ProtocolError):
-        encode_scalar_grads(ScalarGrads(seed=-1, values=np.ones(1)))
+        _payload_bytes(TAG_SCALAR, ScalarGrads(seed=-1, values=np.ones(1)))
     with pytest.raises(ProtocolError):
         decode_client_update(Frame(tag=TAG_ROUND, body=b""))
     with pytest.raises(ProtocolError):
-        decode_projected(encode_projected(ProjectedUpdate(
+        decode_projected(_payload_bytes(TAG_PROJECTED, ProjectedUpdate(
             partition_id=1, seed=1,
             block_coords=(np.ones(1, np.float32),)))[:9])
 
@@ -171,7 +176,7 @@ def test_socket_transport():
     server, client = socket.socketpair()
     try:
         msg, _ = _sample_projected()
-        out = encode_client_update(4, 1, msg)
+        out = encode_client_update(TAG_PROJECTED, 4, 1, msg)
 
         def reply():
             frame = recv_frame(server)
@@ -326,18 +331,20 @@ def _traced_peak(fn):
 
 
 def test_decoding_a_raw_reply_copies_no_payload():
-    frame = encode_client_update(3, 0, np.random.default_rng(1).standard_normal(_D))
+    frame = encode_client_update(TAG_RAW, 3, 0,
+                                 np.random.default_rng(1).standard_normal(_D))
     fedavg = federation._METHODS["fedavg"]
-    msg, peak = _traced_peak(lambda: federation._decode_reply(frame, fedavg))
+    (_, _, payload), peak = _traced_peak(
+        lambda: federation._decode_reply(frame, fedavg, _D))
     assert peak < _SLACK
-    assert msg.payload.shape == (_D,)
-    assert np.shares_memory(msg.payload, np.frombuffer(frame, np.uint8))
-    assert not msg.payload.flags.writeable
+    assert payload.shape == (_D,)
+    assert np.shares_memory(payload, np.frombuffer(frame, np.uint8))
+    assert not payload.flags.writeable
 
 
 def test_encoders_hold_one_frame_at_most():
     values = np.random.default_rng(2).standard_normal(_D)
-    for encode in (lambda: encode_client_update(3, 0, values),
+    for encode in (lambda: encode_client_update(TAG_RAW, 3, 0, values),
                    lambda: encode_round(4, values)):
         frame, peak = _traced_peak(encode)
         assert peak <= len(frame) + _SLACK
@@ -378,11 +385,11 @@ def test_unaligned_read_only_replies_aggregate_to_the_same_bits(method):
               for c in clients]
     want_w, want_record, _ = apply_replies(copy.deepcopy(state), cfg, frames)
     for shift in range(8):
-        got_w, got_record, msgs = apply_replies(
-            copy.deepcopy(state), cfg, [_shifted(f, shift) for f in frames])
+        shifted = [_shifted(f, shift) for f in frames]
+        got_w, got_record, _ = apply_replies(copy.deepcopy(state), cfg, shifted)
         assert got_w.tobytes() == want_w.tobytes()
         assert got_record == want_record
-        payloads = [m.payload for m in msgs]
+        payloads = [decode_client_update(decode_frame(f)[0])[2] for f in shifted]
         arrays = [getattr(p, "values", p) for p in payloads
                   if not isinstance(p, ProjectedUpdate)]
         arrays += [c for p in payloads if isinstance(p, ProjectedUpdate)
