@@ -1,5 +1,7 @@
 """Federated full-parameter tuning with seeded random-subspace update compression."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     DivergedError,
@@ -13,8 +15,6 @@ from .errors import (
 )
 from .federation import (
     METHODS,
-    ClientDataset,
-    ClientUpdateMsg,
     ExperimentState,
     FedConfig,
     RoundRecord,
@@ -97,84 +97,7 @@ from .zoo import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisChunk",
-    "BlockPartition",
-    "CHECK_NAMES",
-    "CheckReport",
-    "ClientDataset",
-    "ClientUpdateMsg",
-    "ConfigError",
-    "Dataset",
-    "DivergedError",
-    "ExperimentState",
-    "FedConfig",
-    "FedprojError",
-    "InfeasibleBudgetError",
-    "InvalidDimensionError",
-    "METHODS",
-    "MODEL_KINDS",
-    "ModelSpec",
-    "NumericError",
-    "PROJECTION_VERSION",
-    "PartitionError",
-    "ProjectedUpdate",
-    "ProtocolError",
-    "RandomSeed",
-    "RoundRecord",
-    "SERIES_NAMES",
-    "ScalarGrads",
-    "Series",
-    "ShapeMismatchError",
-    "StreamRng",
-    "TheoryCheckConfig",
-    "TruncGaussStats",
-    "UpdateVector",
-    "ZOConfig",
-    "account_costs",
-    "accuracy",
-    "accuracy_vs_bases",
-    "allocate_budgets",
-    "allocation_ablation",
-    "basis_tile",
-    "block_cost",
-    "build_partition",
-    "build_series",
-    "cosine_similarity",
-    "derive_subseed",
-    "drift_immunity",
-    "exact_project",
-    "fedkseed_local_step",
-    "format_records_csv",
-    "format_series_csv",
-    "grad",
-    "init_params",
-    "load_csv",
-    "load_npz",
-    "local_sgd",
-    "loss",
-    "mix64",
-    "partition_data",
-    "predict",
-    "project",
-    "projection_seed",
-    "reconstruct",
-    "replay_scalar_log",
-    "rounds_curve",
-    "run_battery",
-    "run_check",
-    "run_experiment",
-    "run_experiment_sockets",
-    "run_round",
-    "sample_basis",
-    "sample_clients",
-    "save_csv",
-    "save_npz",
-    "setup_experiment",
-    "synthetic_classification",
-    "synthetic_regression",
-    "trunc_gauss_stats",
-    "uniform_stream",
-    "zo_gradient",
-    "__version__",
-]
+# every imported public object, so the list cannot drift from the imports
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

@@ -134,28 +134,6 @@ class FedConfig:
         return max(1, math.ceil(self.participation * self.num_clients - 1e-9))
 
 
-@dataclass
-class ClientDataset:
-    """One client's shard plus a human-readable skew descriptor."""
-
-    client_id: int
-    data: Dataset
-    skew_label: str = "iid"
-
-    def __post_init__(self):
-        if len(self.data) == 0:
-            raise PartitionError(f"client {self.client_id} received no examples")
-
-
-@dataclass(frozen=True)
-class ClientUpdateMsg:
-    """One folded reply; upload_units counts its payload numbers."""
-
-    client_id: int
-    round_index: int
-    upload_units: int
-
-
 @dataclass(frozen=True)
 class RoundRecord:
     """Per-round trajectory row; wall times never participate in equality."""
@@ -276,8 +254,10 @@ def _skewed_split(n: int, targets: np.ndarray, n_clients: int,
 
 
 def partition_data(full: Dataset, num_clients: int, skew: str = "iid",
-                   seed: RandomSeed = 0) -> list[ClientDataset]:
-    """Split examples over clients: uniform, or Dirichlet(alpha) label skew."""
+                   seed: RandomSeed = 0) -> list[Dataset]:
+    """Split examples over clients: uniform, or Dirichlet(alpha) label skew.
+
+    Client i is the i-th shard: its position is its id in every seed."""
     n = len(full)
     if num_clients < 1:
         raise PartitionError("need at least one client")
@@ -292,17 +272,13 @@ def partition_data(full: Dataset, num_clients: int, skew: str = "iid",
         for size in _even_split(n, num_clients):
             shards.append([int(i) for i in order[at:at + size]])
             at += size
-        label = "iid" if kind == "iid" else skew
     else:
         if full.targets.ndim != 1:
             raise PartitionError("label skew needs a single target column")
         if not full.is_classification:
             raise PartitionError("label skew needs integer class targets")
         shards = _skewed_split(n, full.targets, num_clients, alpha, rng)
-        label = skew
-
-    return [ClientDataset(client_id=i, data=full.take(shard), skew_label=label)
-            for i, shard in enumerate(shards)]
+    return [full.take(shard) for shard in shards]
 
 
 # ---------------------------------------------------------------- seeds
@@ -343,31 +319,32 @@ def _walk_loss(model: ModelSpec, data: Dataset) -> LossFn:
 
 
 def _client_sgd(cfg: FedConfig, model: ModelSpec, partition: BlockPartition | None,
-                w: np.ndarray, client: ClientDataset, round_index: int) -> np.ndarray:
+                w: np.ndarray, client_id: int, data: Dataset, round_index: int
+                ) -> np.ndarray:
     """The client's first-order local run; returns its delta, fedavg's reply."""
-    _, delta = local_sgd(model, w, client.data, iters=cfg.local_iters,
+    _, delta = local_sgd(model, w, data, iters=cfg.local_iters,
                          lr=cfg.local_lr, batch_size=cfg.batch_size,
                          accum=cfg.accum,
-                         rng=_local_rng(cfg, round_index, client.client_id),
+                         rng=_local_rng(cfg, round_index, client_id),
                          optimizer=cfg.optimizer)
     return delta
 
 
 def _subspace_client(cfg: FedConfig, model: ModelSpec, partition: BlockPartition,
-                     w: np.ndarray, client: ClientDataset, round_index: int
+                     w: np.ndarray, client_id: int, data: Dataset, round_index: int
                      ) -> ProjectedUpdate:
     """subspace client: the local run's delta projected onto seeded bases."""
-    delta = _client_sgd(cfg, model, partition, w, client, round_index)
+    delta = _client_sgd(cfg, model, partition, w, client_id, data, round_index)
     return project(UpdateVector(delta, partition),
-                   projection_seed(cfg, round_index, client.client_id))
+                   projection_seed(cfg, round_index, client_id))
 
 
 def _zo_client(cfg: FedConfig, model: ModelSpec, partition: None, w: np.ndarray,
-               client: ClientDataset, round_index: int) -> np.ndarray:
+               client_id: int, data: Dataset, round_index: int) -> np.ndarray:
     """fedzo client: local_iters steps along zeroth-order gradient estimates."""
-    zo_seed = projection_seed(cfg, round_index, client.client_id)
+    zo_seed = projection_seed(cfg, round_index, client_id)
     cur = w.copy()
-    loss_fn = _walk_loss(model, client.data)
+    loss_fn = _walk_loss(model, data)
     for t in range(cfg.local_iters):
         zcfg = ZOConfig(epsilon=cfg.zo_epsilon, num_perturbations=cfg.total_bases,
                         seed=derive_subseed(zo_seed, round_index=t + 1))
@@ -382,12 +359,12 @@ def _zo_client(cfg: FedConfig, model: ModelSpec, partition: None, w: np.ndarray,
 
 
 def _kseed_client(cfg: FedConfig, model: ModelSpec, partition: None, w: np.ndarray,
-                  client: ClientDataset, round_index: int) -> ScalarGrads:
+                  client_id: int, data: Dataset, round_index: int) -> ScalarGrads:
     """fedkseed client: K sequential one-direction steps; replies their log."""
     zcfg = ZOConfig(epsilon=cfg.zo_epsilon, num_perturbations=cfg.total_bases,
-                    seed=projection_seed(cfg, round_index, client.client_id))
+                    seed=projection_seed(cfg, round_index, client_id))
     try:
-        return fedkseed_local_step(w, _walk_loss(model, client.data),
+        return fedkseed_local_step(w, _walk_loss(model, data),
                                    zcfg, lr=cfg.local_lr)[1]
     except NumericError as err:  # err.index is the sequential step
         raise DivergedError(str(err), iteration=err.index) from err
@@ -399,7 +376,7 @@ class _Method(NamedTuple):
     module globals it calls when it runs, so rebinding one reaches every round."""
 
     tag: int
-    client: Callable  # (cfg, model, partition, w, client, round) -> payload
+    client: Callable  # (cfg, model, partition, w, client_id, data, round) -> payload
     delta: Callable  # (payload, state, cfg) -> the client's delta
     units: Callable  # payload -> upload units
     grad_evals: Callable  # cfg -> gradient evaluations per client per round
@@ -425,7 +402,7 @@ METHODS = tuple(_METHODS)
 
 def client_update_frame(cfg: FedConfig, model: ModelSpec,
                         partition: BlockPartition | None, w_values: np.ndarray,
-                        client: ClientDataset, round_index: int) -> bytes:
+                        client_id: int, data: Dataset, round_index: int) -> bytes:
     """Run one client's local routine and encode its reply frame.
 
     This single code path serves both the in-process simulator and the socket
@@ -433,12 +410,12 @@ def client_update_frame(cfg: FedConfig, model: ModelSpec,
     """
     method = _METHODS[cfg.method]
     try:
-        payload = method.client(cfg, model, partition, w_values, client, round_index)
+        payload = method.client(cfg, model, partition, w_values, client_id, data,
+                                round_index)
     except DivergedError as err:
         raise DivergedError(str(err), iteration=err.iteration,
-                            round_index=round_index,
-                            client_id=client.client_id) from err
-    return encode_client_update(method.tag, client.client_id, round_index, payload)
+                            round_index=round_index, client_id=client_id) from err
+    return encode_client_update(method.tag, client_id, round_index, payload)
 
 
 # ---------------------------------------------------------------- server
@@ -461,14 +438,15 @@ def _decode_reply(frame_bytes: bytes, method: _Method, units: int) -> tuple:
 
 
 def apply_replies(state: ExperimentState, cfg: FedConfig, replies: Iterable
-                  ) -> tuple[np.ndarray, RoundRecord, list[ClientUpdateMsg]]:
+                  ) -> tuple[np.ndarray, RoundRecord, list[int]]:
     """Fold one round of encoded replies into the global model, one at a time.
 
     Each reply is decoded, checked and added to a running sum, then dropped
     before the next is read.  Takes exactly one reply per sampled client, in
     ascending client id and in the method's format, or raises ProtocolError
     before the state changes.  ``wall_local`` is the time spent waiting on
-    ``replies``; ``wall_aggregate`` is the rest of the call.
+    ``replies``; ``wall_aggregate`` is the rest of the call.  Returns the new
+    parameters, the round's record and the folded client ids, ascending.
     """
     t0 = time.perf_counter()
     method = _METHODS[cfg.method]
@@ -484,7 +462,8 @@ def apply_replies(state: ExperimentState, cfg: FedConfig, replies: Iterable
         del frame, payload  # so the next reply is read with this one dropped
         t = time.perf_counter()
     wall_local += time.perf_counter() - t
-    due = [(c, state.round_index) for c in sample_clients(cfg, state.round_index)]
+    picked = sample_clients(cfg, state.round_index)
+    due = [(c, state.round_index) for c in picked]
     if got != due:
         raise ProtocolError(
             f"round {state.round_index} takes one reply from each sampled client "
@@ -519,15 +498,15 @@ def apply_replies(state: ExperimentState, cfg: FedConfig, replies: Iterable
         wall_aggregate=time.perf_counter() - t0 - wall_local,
     )
     state.round_index += 1
-    return new_w, record, [ClientUpdateMsg(c, r, units) for c, r in got]
+    return new_w, record, picked
 
 
-def run_round(state: ExperimentState, clients: list[ClientDataset],
-              cfg: FedConfig) -> tuple[np.ndarray, RoundRecord, list[ClientUpdateMsg]]:
+def run_round(state: ExperimentState, clients: list[Dataset],
+              cfg: FedConfig) -> tuple[np.ndarray, RoundRecord, list[int]]:
     """One synchronized round; each client runs when the server asks for its reply."""
-    by_id = {c.client_id: c for c in clients}
     w, r = state.w, state.round_index
-    replies = (client_update_frame(cfg, state.model, state.partition, w, by_id[i], r)
+    replies = (client_update_frame(cfg, state.model, state.partition, w, i,
+                                   clients[i], r)
                for i in sample_clients(cfg, r))
     return apply_replies(state, cfg, replies)
 
@@ -553,11 +532,10 @@ def build_partition(cfg: FedConfig, model: ModelSpec,
 
 
 def _calibration_norms(cfg: FedConfig, model: ModelSpec, w: np.ndarray,
-                       clients: list[ClientDataset]) -> np.ndarray:
+                       clients: list[Dataset]) -> np.ndarray:
     """Per-block delta norms from the first round-0 participant's local run."""
-    first_id = sample_clients(cfg, 0)[0]
-    client = next(c for c in clients if c.client_id == first_id)
-    delta = _client_sgd(cfg, model, None, w, client, 0)
+    first = sample_clients(cfg, 0)[0]
+    delta = _client_sgd(cfg, model, None, w, first, clients[first], 0)
     norms, at = [], 0
     for d in _block_layout(cfg, model):
         norms.append(float(np.linalg.norm(delta[at:at + d])))
@@ -566,16 +544,21 @@ def _calibration_norms(cfg: FedConfig, model: ModelSpec, w: np.ndarray,
 
 
 def setup_experiment(cfg: FedConfig, model: ModelSpec,
-                     clients: list[ClientDataset],
+                     clients: list[Dataset],
                      eval_data: Dataset | None = None) -> ExperimentState:
-    """Initial parameters, eval split, and (for subspace) the frozen partition."""
+    """Initial parameters, eval split, and (for subspace) the frozen partition.
+
+    ``clients[i]`` is client i's shard."""
     if len(clients) != cfg.num_clients:
         raise PartitionError(
             f"config expects {cfg.num_clients} clients, got {len(clients)}")
+    for i, data in enumerate(clients):
+        if len(data) == 0:
+            raise PartitionError(f"client {i} received no examples")
     w = init_params(model)
     if eval_data is None:
-        eval_data = Dataset(np.concatenate([c.data.features for c in clients]),
-                            np.concatenate([c.data.targets for c in clients]))
+        eval_data = Dataset(np.concatenate([c.features for c in clients]),
+                            np.concatenate([c.targets for c in clients]))
     partition = None
     if _METHODS[cfg.method].tag == TAG_PROJECTED:
         norms = (_calibration_norms(cfg, model, w, clients)
@@ -586,7 +569,7 @@ def setup_experiment(cfg: FedConfig, model: ModelSpec,
 
 
 def run_experiment(cfg: FedConfig, model: ModelSpec,
-                   clients: list[ClientDataset],
+                   clients: list[Dataset],
                    eval_data: Dataset | None = None) -> list[RoundRecord]:
     """R rounds of the configured method; deterministic in cfg.root_seed."""
     state = setup_experiment(cfg, model, clients, eval_data)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidDimensionError
-from .federation import ClientDataset, FedConfig, run_experiment
+from .federation import FedConfig, run_experiment
 from .models import ModelSpec, synthetic_regression
 from .normal import norm_ppf
 from .projection import (
@@ -197,7 +197,7 @@ def rounds_curve(rounds: int = 30, seed: RandomSeed = 21) -> Series:
     model = ModelSpec(kind="linear-regression", input_dim=15, output_dim=1,
                       init_seed=3)
     data = synthetic_regression(256, 15, seed=9, noise_std=0.1)
-    clients = [ClientDataset(i, data, "homogeneous") for i in range(4)]
+    clients = [data] * 4  # homogeneous: every client holds the full set
     columns = ["round"]
     per_method = []
     for method in ("subspace", "fedavg", "fedzo", "fedkseed"):

@@ -50,7 +50,15 @@ worker that died while unpickling more than a pipe buffer of them left
 it closes its copy of the child's read end.  The hand-off has the socket
 timeout, so a worker that dies there fails as one that dies before
 connecting, and one that hangs there fails after the timeout.  Client data
-never crosses the TCP stream.
+never crosses the TCP stream.  The worker holds the clients as the list it
+was sent: client i is ``clients[i]``, as in the server's own list.
+
+The listener binds 127.0.0.1 only, since the worker is always a local child:
+on another address a second machine could connect first, be accepted as the
+worker and receive every ROUND snapshot.  Once the worker is connected, a
+send or receive that waits the socket timeout means the worker has stalled:
+the server terminates it, since it would not read SHUTDOWN, and raises a
+ProtocolError naming the round and the wait.
 """
 
 from __future__ import annotations
@@ -65,7 +73,6 @@ import struct
 
 from .errors import DivergedError, ProtocolError
 from .federation import (
-    ClientDataset,
     FedConfig,
     RoundRecord,
     apply_replies,
@@ -89,6 +96,7 @@ from .wire import (
     send_frame,
 )
 
+_HOST = "127.0.0.1"  # the worker is a local child; nothing else may connect
 _SOCKET_TIMEOUT = 60.0
 _CLIENT_HEAD = struct.Struct("<Q")  # byte length of one pickled client
 # Environment the worker starts with; see the module docstring.
@@ -121,7 +129,7 @@ def _worker_environment():
                 os.environ[name] = value
 
 
-def _send_clients(sock: socket.socket, clients: list[ClientDataset]) -> None:
+def _send_clients(sock: socket.socket, clients: list[Dataset]) -> None:
     """Each client down the hand-off socket as one length-prefixed pickle.
 
     Returns quietly if the worker has died, so that ``_accept_worker`` can
@@ -139,7 +147,7 @@ def _send_clients(sock: socket.socket, clients: list[ClientDataset]) -> None:
                             f"{_SOCKET_TIMEOUT:g} s") from None
 
 
-def _recv_clients(sock: socket.socket, count: int) -> list[ClientDataset]:
+def _recv_clients(sock: socket.socket, count: int) -> list[Dataset]:
     clients = []
     for _ in range(count):
         head = bytearray(_CLIENT_HEAD.size)
@@ -150,12 +158,12 @@ def _recv_clients(sock: socket.socket, count: int) -> list[ClientDataset]:
     return clients
 
 
-def _worker_main(host: str, port: int, cfg: FedConfig, model: ModelSpec,
+def _worker_main(port: int, cfg: FedConfig, model: ModelSpec,
                  handoff: socket.socket, partition) -> None:
     with handoff:
         handoff.settimeout(_SOCKET_TIMEOUT)
-        by_id = {c.client_id: c for c in _recv_clients(handoff, cfg.num_clients)}
-    sock = socket.create_connection((host, port), timeout=_SOCKET_TIMEOUT)
+        clients = _recv_clients(handoff, cfg.num_clients)
+    sock = socket.create_connection((_HOST, port), timeout=_SOCKET_TIMEOUT)
     try:
         while True:
             try:
@@ -168,7 +176,8 @@ def _worker_main(host: str, port: int, cfg: FedConfig, model: ModelSpec,
             try:
                 for cid in sample_clients(cfg, round_index):
                     send_frame(sock, client_update_frame(
-                        cfg, model, partition, w_values, by_id[cid], round_index))
+                        cfg, model, partition, w_values, cid, clients[cid],
+                        round_index))
             except DivergedError as err:
                 send_frame(sock, encode_failure(
                     err.client_id, err.iteration, str(err)))
@@ -206,20 +215,19 @@ def _accept_worker(listener: socket.socket, worker) -> socket.socket:
 
 
 def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
-                           clients: list[ClientDataset],
-                           eval_data: Dataset | None = None,
-                           host: str = "127.0.0.1") -> list[RoundRecord]:
+                           clients: list[Dataset],
+                           eval_data: Dataset | None = None) -> list[RoundRecord]:
     """R rounds with clients in a worker process; records match in-process."""
     state = setup_experiment(cfg, model, clients, eval_data)
 
-    listener = socket.create_server((host, 0))
+    listener = socket.create_server((_HOST, 0))
     listener.settimeout(_SOCKET_TIMEOUT)
     port = listener.getsockname()[1]
     handoff, worker_end = socket.socketpair()
     handoff.settimeout(_SOCKET_TIMEOUT)
     ctx = multiprocessing.get_context("spawn")
     worker = ctx.Process(target=_worker_main,
-                         args=(host, port, cfg, model, worker_end, state.partition),
+                         args=(port, cfg, model, worker_end, state.partition),
                          daemon=True)
     try:
         with _worker_environment():
@@ -239,9 +247,15 @@ def run_experiment_sockets(cfg: FedConfig, model: ModelSpec,
         conn = _accept_worker(listener, worker)
         try:
             for _ in range(cfg.rounds):
-                send_frame(conn, encode_round(state.round_index, state.w))
-                _, record, _ = apply_replies(
-                    state, cfg, _replies(conn, cfg, state.round_index))
+                try:
+                    send_frame(conn, encode_round(state.round_index, state.w))
+                    _, record, _ = apply_replies(
+                        state, cfg, _replies(conn, cfg, state.round_index))
+                except TimeoutError:  # a stalled worker will not read SHUTDOWN
+                    worker.terminate()
+                    raise ProtocolError(
+                        f"worker stalled in round {state.round_index}: no "
+                        f"progress within {_SOCKET_TIMEOUT:g} s") from None
                 records.append(record)
             send_frame(conn, encode_done(cfg.rounds))
         except BaseException:

@@ -22,8 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError
-from .federation import (ClientDataset, FedConfig, account_costs,
-                         partition_data, run_experiment)
+from .federation import FedConfig, account_costs, partition_data, run_experiment
 from .models import ModelSpec, synthetic_regression
 from .projection import (BlockPartition, UpdateVector, block_cost,
                          cosine_similarity, project, reconstruct)
@@ -335,7 +334,7 @@ def _convergence_task():
     # difference between methods is how the local update travels
     model = ModelSpec("linear-regression", input_dim=63, output_dim=1, init_seed=3)
     data = synthetic_regression(n=512, input_dim=63, seed=9)
-    clients = [ClientDataset(i, data, "homogeneous") for i in range(8)]
+    clients = [data] * 8
     return model, data, clients
 
 

@@ -165,11 +165,11 @@ def decode_raw(body) -> np.ndarray:
     return vals
 
 
-# client tag -> (payload join parts, payload decoder)
+# client tag -> (payload type, payload join parts, payload decoder)
 _CLIENT_CODECS = {
-    TAG_PROJECTED: (_projected_parts, decode_projected),
-    TAG_SCALAR: (_scalar_parts, decode_scalar_grads),
-    TAG_RAW: (_raw_parts, decode_raw),
+    TAG_PROJECTED: (ProjectedUpdate, _projected_parts, decode_projected),
+    TAG_SCALAR: (ScalarGrads, _scalar_parts, decode_scalar_grads),
+    TAG_RAW: (np.ndarray, _raw_parts, decode_raw),
 }
 
 
@@ -226,14 +226,17 @@ def _client_codec(tag: int) -> tuple:
 
 def encode_client_update(tag: int, client_id: int, round_index: int, payload) -> bytes:
     """Wrap a payload object in its envelope and a frame of the given client tag."""
-    parts, _ = _client_codec(tag)
+    kind, parts, _ = _client_codec(tag)
+    if not isinstance(payload, kind):
+        raise ProtocolError(f"tag {tag:#04x} takes {kind.__name__}, "
+                            f"not {type(payload).__name__}")
     return _frame(tag, [_u32(client_id, "client id"), _u32(round_index, "round"),
                         *parts(payload)])
 
 
 def decode_client_update(frame: Frame):
     """Unwrap (client_id, round, payload) from a client frame."""
-    _, decode = _client_codec(frame.tag)
+    _, _, decode = _client_codec(frame.tag)
     body = _view(frame.body)
     client_id, off = _read_u32(body, 0, "client id")
     round_index, off = _read_u32(body, off, "round")

@@ -20,7 +20,6 @@ from fedproj.errors import (
     ProtocolError,
 )
 from fedproj.federation import (
-    ClientDataset,
     FedConfig,
     RoundRecord,
     StreamRng,
@@ -178,20 +177,20 @@ class TestPartitionData:
     def test_single_client_gets_everything(self):
         _, data = small_regression(n=37)
         (client,) = partition_data(data, 1, "iid", seed=4)
-        assert len(client.data) == 37
-        assert sorted(row.tobytes() for row in client.data.features) == \
+        assert len(client) == 37
+        assert sorted(row.tobytes() for row in client.features) == \
             sorted(row.tobytes() for row in data.features)
 
     def test_iid_sizes_are_uniform(self):
         data = synthetic_regression(1000, 3, seed=0)
         clients = partition_data(data, 10, "iid", seed=1)
-        assert [len(c.data) for c in clients] == [100] * 10
-        seen = {row.tobytes() for c in clients for row in c.data.features}
+        assert [len(c) for c in clients] == [100] * 10
+        seen = {row.tobytes() for c in clients for row in c.features}
         assert len(seen) == 1000
 
     def test_iid_sizes_differ_by_at_most_one(self):
         data = synthetic_regression(103, 3, seed=0)
-        sizes = [len(c.data) for c in partition_data(data, 4, "iid", seed=1)]
+        sizes = [len(c) for c in partition_data(data, 4, "iid", seed=1)]
         assert sizes == [26, 26, 26, 25]
 
     def test_deterministic_in_seed(self):
@@ -199,7 +198,7 @@ class TestPartitionData:
         a = partition_data(data, 5, "iid", seed=8)
         b = partition_data(data, 5, "iid", seed=8)
         c = partition_data(data, 5, "iid", seed=9)
-        key = lambda clients: [cl.data.features.tobytes() for cl in clients]
+        key = lambda clients: [cl.features.tobytes() for cl in clients]
         assert key(a) == key(b)
         assert key(a) != key(c)
 
@@ -210,18 +209,17 @@ class TestPartitionData:
         for seed in range(100):
             clients = partition_data(data, 6, "label-skew(0.1)", seed=seed)
             for c in clients:
-                counts = np.bincount(c.data.targets, minlength=3)
-                shares.append(counts.max() / len(c.data))
-                assert len(c.data) == 100
+                counts = np.bincount(c.targets, minlength=3)
+                shares.append(counts.max() / len(c))
+                assert len(c) == 100
         assert np.mean(shares) > 0.6
 
     def test_label_skew_deterministic(self):
         data = synthetic_classification(120, 4, 3, seed=1)
         a = partition_data(data, 4, "label-skew(0.5)", seed=3)
         b = partition_data(data, 4, "label-skew(0.5)", seed=3)
-        assert [cl.data.features.tobytes() for cl in a] == \
-               [cl.data.features.tobytes() for cl in b]
-        assert all(c.skew_label == "label-skew(0.5)" for c in a)
+        assert [cl.features.tobytes() for cl in a] == \
+               [cl.features.tobytes() for cl in b]
 
     def test_more_clients_than_examples_fails(self):
         data = synthetic_regression(3, 2, seed=0)
@@ -242,25 +240,20 @@ class TestPartitionData:
         with pytest.raises(PartitionError, match="skew"):
             partition_data(data, 2, f"label-skew({alpha})", seed=0)
 
-    def test_client_dataset_rejects_empty(self):
-        with pytest.raises(PartitionError):
-            ClientDataset(client_id=0, data=Dataset(np.zeros((0, 3)),
-                                                    np.zeros(0)))
-
     def test_client_data_infers_task_kind(self):
         cls_clients = partition_data(synthetic_classification(30, 3, 2, seed=2),
                                      2, "iid", seed=0)
         reg_clients = partition_data(synthetic_regression(30, 3, seed=2),
                                      2, "iid", seed=0)
-        assert cls_clients[0].data.is_classification
-        assert not reg_clients[0].data.is_classification
+        assert cls_clients[0].is_classification
+        assert not reg_clients[0].is_classification
 
     @pytest.mark.parametrize("skew, digest", [
         ("iid", "8c32ebe1b3391d8ff092af0dc4230276e7abd394bd82a59f424666eb2a6d8a6b"),
         ("label-skew(0.5)", "b0248bcc4e21ecb024f478e0256a539e5a3aa7d33a4f11fe5cea82bf0e3fe1cf"),
     ])
     def test_shards_match_the_golden_digest(self, skew, digest):
-        # every shard's rows, in order, and its label; iid for both task
+        # every shard's rows, in order, and the skew; iid for both task
         # kinds, label skew for classes only, since it rejects float targets;
         # a split that moves, drops or reorders one row changes the digest
         sets = [(synthetic_classification(90, 4, 3, seed=1), 4)]
@@ -270,9 +263,9 @@ class TestPartitionData:
         for data, n_clients in sets:
             for seed in range(3):
                 for c in partition_data(data, n_clients, skew, seed=seed):
-                    h.update(c.data.features.tobytes())
-                    h.update(c.data.targets.tobytes())
-                    h.update(c.skew_label.encode())
+                    h.update(c.features.tobytes())
+                    h.update(c.targets.tobytes())
+                    h.update(skew.encode())
         assert h.hexdigest() == digest
 
     def test_multi_output_regression_trains(self):
@@ -280,7 +273,7 @@ class TestPartitionData:
                           init_seed=1)
         data = synthetic_regression(60, 5, output_dim=2, seed=3)
         clients = partition_data(data, 3, seed=4)
-        assert [c.data.targets.shape for c in clients] == [(20, 2)] * 3
+        assert [c.targets.shape for c in clients] == [(20, 2)] * 3
         records = run_experiment(base_cfg(num_clients=3, rounds=2), model,
                                  clients)
         assert records[-1].global_loss < loss(model, init_params(model), data)
@@ -339,7 +332,7 @@ class TestSubspaceRound:
                        batch_size=64)
         state = setup_experiment(cfg, model, clients, data)
         w0 = state.w.copy()
-        g = grad(model, state.w, clients[0].data)
+        g = grad(model, state.w, clients[0])
         new_w, _, _ = run_round(state, clients, cfg)
         want = w0 - 2.0 * 0.1 * g
         scale = np.linalg.norm(want - w0)
@@ -356,13 +349,13 @@ class TestSubspaceRound:
         w0 = state.w.copy()
 
         total = np.zeros(model.dim)
-        for client in clients:
-            _, delta = local_sgd(model, w0, client.data,
+        for client_id, client in enumerate(clients):
+            _, delta = local_sgd(model, w0, client,
                                  iters=cfg.local_iters, lr=cfg.local_lr,
                                  batch_size=cfg.batch_size,
-                                 rng=_local_rng(cfg, 0, client.client_id))
+                                 rng=_local_rng(cfg, 0, client_id))
             proj = project(UpdateVector(delta, part),
-                           projection_seed(cfg, 0, client.client_id))
+                           projection_seed(cfg, 0, client_id))
             tilde = np.zeros(model.dim)
             for l in range(part.num_blocks):
                 tile = basis_tile(proj.seed, l, part.block_dims[l], 0,
@@ -373,8 +366,8 @@ class TestSubspaceRound:
             total += tilde
         want = w0 - 1.5 * (total / 2)
 
-        new_w, _, msgs = run_round(state, clients, cfg)
-        assert len(msgs) == 2
+        new_w, _, folded = run_round(state, clients, cfg)
+        assert folded == [0, 1]
         np.testing.assert_allclose(new_w, want, rtol=1e-10, atol=1e-13)
 
 
@@ -387,18 +380,19 @@ class TestFedavgRound:
         w0 = state.w.copy()
 
         total = np.zeros(model.dim)
-        for client in clients:
-            _, delta = local_sgd(model, w0, client.data,
+        for client_id, client in enumerate(clients):
+            _, delta = local_sgd(model, w0, client,
                                  iters=cfg.local_iters, lr=cfg.local_lr,
                                  batch_size=cfg.batch_size,
-                                 rng=_local_rng(cfg, 0, client.client_id))
+                                 rng=_local_rng(cfg, 0, client_id))
             total += delta
         want = w0 - 0.75 * (total / 2)
 
-        new_w, _, msgs = run_round(state, clients, cfg)
+        new_w, record, folded = run_round(state, clients, cfg)
         # raw deltas ride the wire as float64, so this is bit-exact
         assert np.array_equal(new_w, want)
-        assert all(m.upload_units == model.dim for m in msgs)
+        assert folded == sample_clients(cfg, 0)
+        assert record.cumulative_upload == model.dim * len(folded)
 
     def test_exact_full_rank_subspace_matches_fedavg(self, monkeypatch):
         monkeypatch.setattr(federation, "project", exact_project)
@@ -447,7 +441,7 @@ class TestRunExperiment:
         model = ModelSpec(kind="linear-regression", input_dim=63, output_dim=1,
                           init_seed=3)
         data = synthetic_regression(512, 63, seed=9, noise_std=0.1)
-        clients = [ClientDataset(i, data, "homogeneous") for i in range(8)]
+        clients = [data] * 8
         common = dict(num_clients=8, rounds=20, local_iters=10, local_lr=0.05,
                       root_seed=21, batch_size=512)
         sub = run_experiment(
@@ -463,7 +457,7 @@ class TestRunExperiment:
         model = ModelSpec(kind="linear-regression", input_dim=15, output_dim=1,
                           init_seed=3)
         data = synthetic_regression(256, 15, seed=9, noise_std=0.1)
-        clients = [ClientDataset(i, data, "homogeneous") for i in range(4)]
+        clients = [data] * 4
         threshold = 0.8 * loss(model, init_params(model), data)
         common = dict(num_clients=4, rounds=30, local_iters=10, total_bases=4,
                       local_lr=0.08, root_seed=21, batch_size=256)
@@ -517,6 +511,14 @@ class TestRunExperiment:
         with pytest.raises(PartitionError):
             setup_experiment(base_cfg(num_clients=4), model, clients, data)
 
+    def test_setup_rejects_an_empty_shard(self):
+        model, data = small_regression(n=40)
+        clients = partition_data(data, 4, seed=7)
+        clients[2] = Dataset(np.zeros((0, 20)), np.zeros(0))
+        with pytest.raises(PartitionError,
+                           match="^client 2 received no examples$"):
+            setup_experiment(base_cfg(), model, clients, data)
+
     def test_norm_allocation_freezes_budgets(self):
         model = ModelSpec(kind="mlp", input_dim=6, output_dim=2, hidden_dim=5,
                           init_seed=2)
@@ -545,11 +547,10 @@ class TestProtocolInvariants:
         assert len(frames) == 3
         for client_id, _, payload in map(decoded, frames):
             server_side = reconstruct(payload, part)
-            client = clients[client_id]
-            _, delta = local_sgd(model, w0, client.data,
+            _, delta = local_sgd(model, w0, clients[client_id],
                                  iters=cfg.local_iters, lr=cfg.local_lr,
                                  batch_size=cfg.batch_size,
-                                 rng=_local_rng(cfg, 0, client.client_id))
+                                 rng=_local_rng(cfg, 0, client_id))
             local = reconstruct(project(UpdateVector(delta, part),
                                         projection_seed(cfg, 0, client_id)),
                                 part)
@@ -559,7 +560,7 @@ class TestProtocolInvariants:
         # clients that apply the previous round's aggregate at the start of
         # the next round walk the same trajectory as server-side application
         model, data = small_regression(input_dim=5, n=48)
-        clients = [ClientDataset(i, data, "homogeneous") for i in range(2)]
+        clients = [data] * 2
         cfg = base_cfg(num_clients=2, rounds=3, local_iters=2, total_bases=3,
                        local_lr=0.1, server_lr=1.5, batch_size=16)
 
@@ -576,13 +577,13 @@ class TestProtocolInvariants:
             if pending is not None:
                 w_cur = w_cur - pending
             total = np.zeros(model.dim)
-            for client in clients:
-                _, delta = local_sgd(model, w_cur, client.data,
+            for client_id, client in enumerate(clients):
+                _, delta = local_sgd(model, w_cur, client,
                                      iters=cfg.local_iters, lr=cfg.local_lr,
                                      batch_size=cfg.batch_size,
-                                     rng=_local_rng(cfg, r, client.client_id))
+                                     rng=_local_rng(cfg, r, client_id))
                 proj = project(UpdateVector(delta, part),
-                               projection_seed(cfg, r, client.client_id))
+                               projection_seed(cfg, r, client_id))
                 total += reconstruct(proj, part)
             pending = cfg.server_lr * (total / len(clients))
             assert np.array_equal(engine_w[r], w_cur - pending)
@@ -625,15 +626,16 @@ class TestProtocolInvariants:
     def test_upload_units_by_method(self):
         model, data = small_regression(input_dim=9, n=60)
         clients = partition_data(data, 3, seed=4)
-        want = {"subspace": 6, "fedavg": model.dim, "fedzo": model.dim,
-                "fedkseed": 6}
+        # per client: a seeded reply uploads its seed and K numbers
+        want = {"subspace": 6 + 1, "fedavg": model.dim, "fedzo": model.dim,
+                "fedkseed": 6 + 1}
         for method, units in want.items():
             cfg = base_cfg(num_clients=3, rounds=1, total_bases=6,
                            local_iters=2, method=method)
             state = setup_experiment(cfg, model, clients, data)
-            _, _, msgs = run_round(state, clients, cfg)
-            assert [m.upload_units for m in msgs] == [units] * 3
-            assert [m.client_id for m in msgs] == [0, 1, 2]
+            _, record, folded = run_round(state, clients, cfg)
+            assert folded == sample_clients(cfg, 0) == [0, 1, 2]
+            assert record.cumulative_upload == units * len(folded)
 
     @pytest.mark.parametrize("case", [
         "duplicate", "unsampled", "missing", "reversed",
@@ -652,7 +654,7 @@ class TestProtocolInvariants:
 
         def reply(cid):
             return client_update_frame(sender, model, state.partition, state.w,
-                                       clients[cid], r)
+                                       cid, clients[cid], r)
 
         def short(frame):  # the reply's first 3 of its K = 8 scalars
             cid, rnd, grads = decoded(frame)
@@ -806,10 +808,10 @@ class TestWalkEvaluator:
         monkeypatch.setattr(models, "_as_arrays", counting_scan)
         monkeypatch.setattr(federation, "loss", counting_loss)
         w = init_params(model)
-        for client in clients:
+        for client_id, client in enumerate(clients):
             scans.clear()
             losses.clear()
-            client_update_frame(cfg, model, None, w, client, 0)
+            client_update_frame(cfg, model, None, w, client_id, client, 0)
             assert scans.count(True) == 1
             assert len(losses) == calls
 

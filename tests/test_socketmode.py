@@ -29,7 +29,6 @@ from fedproj.errors import (
     ShapeMismatchError,
 )
 from fedproj.federation import (
-    ClientDataset,
     FedConfig,
     client_update_frame,
     partition_data,
@@ -84,7 +83,7 @@ def test_socket_divergence_carries_client_context():
     assert err.value.iteration >= 1
 
 
-class ExitingClient(ClientDataset):
+class ExitingClient(Dataset):
     """A client whose unpickling in the worker ends the worker with code 3."""
 
     def __reduce__(self):
@@ -93,8 +92,7 @@ class ExitingClient(ClientDataset):
 
 def test_worker_that_dies_before_connecting_fails_fast():
     model, data, clients = task()
-    clients = [ExitingClient(c.client_id, c.data, c.skew_label)
-               for c in clients]
+    clients = [ExitingClient(c.features, c.targets) for c in clients]
     cfg = FedConfig(num_clients=4, rounds=1, local_iters=1, total_bases=8,
                     local_lr=0.05, root_seed=11, batch_size=32, method="fedavg")
     t0 = time.monotonic()
@@ -103,30 +101,29 @@ def test_worker_that_dies_before_connecting_fails_fast():
     assert time.monotonic() - t0 < 10.0
 
 
-class SleepingClient(ClientDataset):
+class SleepingClient(Dataset):
     """A client whose unpickling in the worker sleeps for ten minutes."""
 
     def __reduce__(self):
         return time.sleep, (600,)
 
 
-def small_shard_task(first=ClientDataset):
+def small_shard_task(first=Dataset):
     """``task()``'s four clients, client 0 built as ``first``, for one round."""
     model, data, clients = task()
-    clients[0] = first(0, clients[0].data)
+    clients[0] = first(clients[0].features, clients[0].targets)
     cfg = FedConfig(num_clients=4, rounds=1, local_iters=1, total_bases=8,
                     local_lr=0.05, root_seed=11, method="fedavg")
     return cfg, model, clients, data
 
 
-def large_shard_task(first=ClientDataset):
+def large_shard_task(first=Dataset):
     """Four clients of 1 MB each; client 0 built as ``first``, and eval data."""
     model = ModelSpec("logistic-regression", 256, 10, init_seed=1)
     rng = np.random.default_rng(2)
-    clients = [ClientDataset(i, Dataset(rng.standard_normal((512, 256)),
-                                        rng.integers(0, 10, 512)))
-               for i in range(4)]
-    clients[0] = first(0, clients[0].data)
+    clients = [Dataset(rng.standard_normal((512, 256)), rng.integers(0, 10, 512))
+               for _ in range(4)]
+    clients[0] = first(clients[0].features, clients[0].targets)
     cfg = FedConfig(num_clients=4, rounds=1, local_iters=1, total_bases=8,
                     local_lr=0.05, root_seed=11, batch_size=32, method="fedavg")
     return cfg, model, clients, synthetic_classification(40, 256, 10, seed=3)
@@ -176,19 +173,18 @@ def test_worker_that_hangs_reading_its_clients_fails_after_the_timeout(
     assert multiprocessing.active_children() == []
 
 
-def repeats_first_reply(host, port, cfg, model, handoff, partition):
+def repeats_first_reply(port, cfg, model, handoff, partition):
     """A worker that answers each ROUND with its first sampled client's reply,
     sent once for every sampled client; it stops at any other frame."""
     with handoff:
         handoff.settimeout(10.0)
-        by_id = {c.client_id: c
-                 for c in socketmode._recv_clients(handoff, cfg.num_clients)}
-    with socket.create_connection((host, port), timeout=10.0) as sock:
+        clients = socketmode._recv_clients(handoff, cfg.num_clients)
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
         while (frame := recv_frame(sock)).tag == TAG_ROUND:
             round_index, w = decode_round(frame)
             picked = sample_clients(cfg, round_index)
-            reply = client_update_frame(cfg, model, partition, w,
-                                        by_id[picked[0]], round_index)
+            reply = client_update_frame(cfg, model, partition, w, picked[0],
+                                        clients[picked[0]], round_index)
             for _ in picked:
                 send_frame(sock, reply)
 
@@ -204,6 +200,29 @@ def test_server_rejects_a_repeated_reply(monkeypatch):
     t0 = time.monotonic()
     with pytest.raises(ProtocolError,
                        match=re.escape(f"not [({first}, 0), ({first}, 0)]")):
+        run_experiment_sockets(cfg, model, clients, data)
+    assert time.monotonic() - t0 < 10.0
+    assert multiprocessing.active_children() == []
+
+
+def stalls_after_connecting(port, cfg, model, handoff, partition):
+    """A worker that takes its clients, connects and then sends nothing."""
+    with handoff:
+        handoff.settimeout(10.0)
+        socketmode._recv_clients(handoff, cfg.num_clients)
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0):
+        time.sleep(600)
+
+
+def test_a_worker_that_stalls_mid_session_fails_after_the_timeout(monkeypatch):
+    monkeypatch.setattr(socketmode, "_SOCKET_TIMEOUT", 2.0)
+    monkeypatch.setattr(socketmode, "_worker_main", stalls_after_connecting)
+    model, data, clients = task()
+    cfg = FedConfig(num_clients=4, rounds=2, local_iters=1, total_bases=8,
+                    local_lr=0.05, root_seed=11, method="fedavg")
+    t0 = time.monotonic()
+    with pytest.raises(ProtocolError, match="^worker stalled in round 0: "
+                                            "no progress within 2 s$"):
         run_experiment_sockets(cfg, model, clients, data)
     assert time.monotonic() - t0 < 10.0
     assert multiprocessing.active_children() == []
@@ -232,7 +251,7 @@ def test_server_peak_does_not_grow_with_the_clients():
         finally:
             tracemalloc.stop()
 
-    shard = fedavg_sockets_inputs(1)[2][0].data.features.nbytes
+    shard = fedavg_sockets_inputs(1)[2][0].features.nbytes
     ten, twenty = traced_peak(10), traced_peak(20)
     assert abs(twenty - ten) < shard, (ten, twenty, shard)
 
@@ -306,14 +325,13 @@ def defective_shard_task(defect):
     model = ModelSpec("logistic-regression", 6, 3, init_seed=1)
     data = synthetic_classification(60, 6, 3, seed=2)
     clients = partition_data(data, 3, seed=3)
-    features = clients[1].data.features.copy()
-    targets = clients[1].data.targets.copy()
+    features = clients[1].features.copy()
+    targets = clients[1].targets.copy()
     if defect == "nan-feature":
         features[4, 2] = np.nan
     else:
         targets[4] = 3
-    clients[1] = ClientDataset(1, Dataset(features, targets),
-                               clients[1].skew_label)
+    clients[1] = Dataset(features, targets)
     return model, data, clients
 
 
@@ -418,7 +436,7 @@ def test_spawn_arguments_hold_no_client_data(starts, examples_per_client):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="counts this process's descriptors in /proc/self/fd")
 @pytest.mark.parametrize("first, error, match", [
-    (ClientDataset, OSError, "start refused"),
+    (Dataset, OSError, "start refused"),
     (ExitingClient, ProtocolError, "exited with code 3"),
     (SleepingClient, ProtocolError, "did not read its clients"),
 ])

@@ -115,6 +115,17 @@ def test_client_update_envelope_all_payloads():
             assert np.array_equal(back, raw)
 
 
+@pytest.mark.parametrize("tag, payload, kind", [
+    (TAG_PROJECTED, np.ones(2), "ProjectedUpdate"),
+    (TAG_SCALAR, np.ones(2), "ScalarGrads"),
+    (TAG_RAW, ScalarGrads(seed=1, values=np.ones(2)), "ndarray"),
+])
+def test_a_payload_of_another_tag_is_refused(tag, payload, kind):
+    with pytest.raises(ProtocolError,
+                       match=f"^tag {tag:#04x} takes {kind}, not "):
+        encode_client_update(tag, 0, 0, payload)
+
+
 def test_frames_concatenate_and_stream():
     buf = encode_frame(TAG_DONE, b"\x02\x00\x00\x00") + encode_shutdown()
     first, used = decode_frame(buf)
@@ -264,7 +275,7 @@ def _experiment(method: str, kind: str = "mlp"):
 def _round0_frame(kind: str, method: str) -> bytes:
     cfg, model, clients, state = _experiment(method, kind)
     cid = sample_clients(cfg, 0)[0]
-    return client_update_frame(cfg, model, state.partition, state.w,
+    return client_update_frame(cfg, model, state.partition, state.w, cid,
                                clients[cid], 0)
 
 
@@ -364,15 +375,15 @@ def test_unaligned_read_only_round_snapshot_gives_the_same_replies(method):
     # the worker's clients start from a view of the ROUND frame
     cfg, model, clients, state = _experiment(method)
     round_frame = encode_round(0, state.w)
-    want = [client_update_frame(cfg, model, state.partition, state.w, c, 0)
-            for c in clients]
+    want = [client_update_frame(cfg, model, state.partition, state.w, i, c, 0)
+            for i, c in enumerate(clients)]
     aligned = set()
     for shift in range(8):
         _, w_view = decode_round(decode_frame(_shifted(round_frame, shift))[0])
         assert not w_view.flags.writeable
         aligned.add(w_view.flags.aligned)
-        got = [client_update_frame(cfg, model, state.partition, w_view, c, 0)
-               for c in clients]
+        got = [client_update_frame(cfg, model, state.partition, w_view, i, c, 0)
+               for i, c in enumerate(clients)]
         assert got == want
         assert np.array_equal(w_view, state.w)  # nothing wrote through
     assert aligned == {True, False}
@@ -381,8 +392,8 @@ def test_unaligned_read_only_round_snapshot_gives_the_same_replies(method):
 @pytest.mark.parametrize("method", ["subspace", "fedavg", "fedzo", "fedkseed"])
 def test_unaligned_read_only_replies_aggregate_to_the_same_bits(method):
     cfg, model, clients, state = _experiment(method)
-    frames = [client_update_frame(cfg, model, state.partition, state.w, c, 0)
-              for c in clients]
+    frames = [client_update_frame(cfg, model, state.partition, state.w, i, c, 0)
+              for i, c in enumerate(clients)]
     want_w, want_record, _ = apply_replies(copy.deepcopy(state), cfg, frames)
     for shift in range(8):
         shifted = [_shifted(f, shift) for f in frames]
