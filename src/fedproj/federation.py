@@ -42,7 +42,9 @@ from .models import (
     OPTIMIZERS,
     Dataset,
     ModelSpec,
+    _as_arrays,
     _CheckedBatch,
+    _EvalBatch,
     accuracy,
     init_params,
     local_sgd,
@@ -478,19 +480,23 @@ def apply_replies(state: ExperimentState, cfg: FedConfig, replies: Iterable
         raise DivergedError("aggregated parameters are not finite", 0,
                             round_index=state.round_index)
 
+    # one forward pass: a classifier's loss leaves its classes for accuracy;
+    # an evaluation that raises leaves the state as it was
+    batch = _EvalBatch(state.model, state.eval_data)
+    global_loss = loss(state.model, new_w, batch)
+    eval_metric = (global_loss if state.model.kind == "linear-regression"
+                   else accuracy(state.model, new_w, batch))
+
     seeded = method.tag != TAG_RAW
+    state.w = new_w
     state.cumulative_upload += (units + seeded) * n
     state.cumulative_download += ((n - 1) * (units + 1) * n if seeded
                                   else state.model.dim * n)
     state.cumulative_grad_evals += method.grad_evals(cfg) * n
-
-    state.w = new_w
-    global_loss = loss(state.model, new_w, state.eval_data)
     record = RoundRecord(
         round_index=state.round_index,
         global_loss=global_loss,
-        eval_metric=(global_loss if state.model.kind == "linear-regression"
-                     else accuracy(state.model, new_w, state.eval_data)),
+        eval_metric=eval_metric,
         cumulative_upload=state.cumulative_upload,
         cumulative_download=state.cumulative_download,
         cumulative_grad_evals=state.cumulative_grad_evals,
@@ -548,7 +554,8 @@ def setup_experiment(cfg: FedConfig, model: ModelSpec,
                      eval_data: Dataset | None = None) -> ExperimentState:
     """Initial parameters, eval split, and (for subspace) the frozen partition.
 
-    ``clients[i]`` is client i's shard."""
+    ``clients[i]`` is client i's shard.  A given ``eval_data`` is checked
+    against the model here, before any client trains."""
     if len(clients) != cfg.num_clients:
         raise PartitionError(
             f"config expects {cfg.num_clients} clients, got {len(clients)}")
@@ -556,7 +563,9 @@ def setup_experiment(cfg: FedConfig, model: ModelSpec,
         if len(data) == 0:
             raise PartitionError(f"client {i} received no examples")
     w = init_params(model)
-    if eval_data is None:
+    if eval_data is not None:
+        _as_arrays(model, eval_data)
+    else:
         eval_data = Dataset(np.concatenate([c.features for c in clients]),
                             np.concatenate([c.targets for c in clients]))
     partition = None

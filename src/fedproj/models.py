@@ -18,6 +18,11 @@ The classifiers' cross-entropy takes each row's max down the class axis of
 one n x c copy and reads the n target logits by flat position; a loss
 without a gradient shifts only those n values by the row normalisers.  Both
 give the bits of the full row-wise log-softmax.
+
+A server evaluates its model with ``loss`` and then ``accuracy`` on one
+evaluation set.  Given the same private ``_EvalBatch``, a classifier's
+``loss`` keeps the argmax of the logits it formed, and ``accuracy`` with the
+same parameter array reads it, so the set goes through the network once.
 """
 
 from __future__ import annotations
@@ -178,6 +183,17 @@ class _CheckedBatch:
         self.model, self.data, self.arrays = model, data, None
 
 
+class _EvalBatch(_CheckedBatch):
+    """A ``_CheckedBatch`` whose ``predicted`` slot carries a classifier's
+    ``(parameters, classes)`` from ``loss`` to ``accuracy``."""
+
+    __slots__ = ("predicted",)
+
+    def __init__(self, model: ModelSpec, data):
+        super().__init__(model, data)
+        self.predicted = None
+
+
 def _as_arrays(model: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
     """A Dataset's (X, y) arrays, validated against ``model``."""
     if isinstance(batch, _CheckedBatch):
@@ -250,15 +266,17 @@ def _forward(model: ModelSpec, g: dict[str, np.ndarray],
 
 
 def _loss_grad(model: ModelSpec, v: np.ndarray, x: np.ndarray, y: np.ndarray,
-               want_grad: bool) -> tuple[float, np.ndarray | None]:
+               want_grad: bool, keep: _EvalBatch | None = None
+               ) -> tuple[float, np.ndarray | None]:
     # overflow to inf is legal here; the training loop turns it into a
     # diverged error instead of a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        return _loss_grad_raw(model, v, x, y, want_grad)
+        return _loss_grad_raw(model, v, x, y, want_grad, keep)
 
 
 def _loss_grad_raw(model: ModelSpec, v: np.ndarray, x: np.ndarray, y: np.ndarray,
-                   want_grad: bool) -> tuple[float, np.ndarray | None]:
+                   want_grad: bool, keep: _EvalBatch | None = None
+                   ) -> tuple[float, np.ndarray | None]:
     n = x.shape[0]
     g = _views(model, v)
     # every group slab is assigned whole below, so no zero fill is needed
@@ -274,6 +292,8 @@ def _loss_grad_raw(model: ModelSpec, v: np.ndarray, x: np.ndarray, y: np.ndarray
             go["b"][:] = z.sum(axis=0) / n
         return loss, out
 
+    if keep is not None:  # predict's classes, taken before the shift below
+        keep.predicted = (v, np.argmax(z, axis=1))
     # log-softmax cross-entropy over the fresh row-major logits z.  The row
     # max comes down a class-major copy, c long reductions instead of n short
     # ones; a max is exact, so the order moves no bit.  The normalisers stay
@@ -293,26 +313,32 @@ def _loss_grad_raw(model: ModelSpec, v: np.ndarray, x: np.ndarray, y: np.ndarray
     flat[at] -= 1.0
     gz /= n
     if model.kind == "logistic-regression":
-        go["w"][:] = x.T @ gz
+        np.matmul(x.T, gz, out=go["w"])
         go["b"][:] = gz.sum(axis=0)
         return loss, out
-    go["w2"][:] = hidden.T @ gz
+    np.matmul(hidden.T, gz, out=go["w2"])
     go["b2"][:] = gz.sum(axis=0)
     # tanh' = 1 - hidden^2, formed over hidden once nothing else reads it
     np.multiply(hidden, hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     gh = gz @ g["w2"].T
     gh *= hidden
-    go["w1"][:] = x.T @ gh
+    np.matmul(x.T, gh, out=go["w1"])
     go["b1"][:] = gh.sum(axis=0)
     return loss, out
 
 
 def loss(model: ModelSpec, w, batch) -> float:
-    """Mean per-example loss over the batch."""
+    """Mean per-example loss over the batch.
+
+    On an ``_EvalBatch`` of this model, a classifier also leaves the batch its
+    predicted classes, keyed on the parameter array it evaluated, for
+    ``accuracy``: the argmax of the logits this call forms anyway.
+    """
     v = _check_params(model, w)
     x, y = _as_arrays(model, batch)
-    value, _ = _loss_grad(model, v, x, y, want_grad=False)
+    keep = batch if isinstance(batch, _EvalBatch) and batch.model is model else None
+    value, _ = _loss_grad(model, v, x, y, want_grad=False, keep=keep)
     return value
 
 
@@ -340,9 +366,22 @@ def predict(model: ModelSpec, w, features: np.ndarray) -> np.ndarray:
 
 
 def accuracy(model: ModelSpec, w, dataset: Dataset) -> float:
-    """Fraction of correctly classified examples."""
+    """Fraction of correctly classified examples.
+
+    Given an ``_EvalBatch``, it takes (and clears) the classes ``loss`` left
+    there when ``w`` is the very array that call evaluated and the batch is
+    this model's, and predicts afresh otherwise.  The key is the array
+    object, not its bytes, which would need a copy of the d parameters; so
+    ``w`` must not change in between, as in ``federation.apply_replies``,
+    which evaluates a fresh array that nothing else holds.
+    """
     if model.kind == "linear-regression":
         raise ConfigError("accuracy is a classification metric")
+    if isinstance(dataset, _EvalBatch):
+        kept, dataset.predicted = dataset.predicted, None
+        if kept is not None and kept[0] is w and dataset.model is model:
+            return float(np.mean(kept[1] == dataset.data.targets))
+        dataset = dataset.data
     return float(np.mean(predict(model, w, dataset.features) == dataset.targets))
 
 

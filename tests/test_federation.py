@@ -18,6 +18,7 @@ from fedproj.errors import (
     NumericError,
     PartitionError,
     ProtocolError,
+    ShapeMismatchError,
 )
 from fedproj.federation import (
     FedConfig,
@@ -780,6 +781,76 @@ class TestRoundEvaluation:
         assert record.global_loss == loss(model, new_w, data)
         if accuracy_calls == 0:
             assert record.eval_metric == record.global_loss
+
+    @pytest.mark.parametrize("kind", ["logistic-regression", "mlp"])
+    def test_a_classifier_round_runs_one_evaluation_forward_pass(
+            self, monkeypatch, kind):
+        model = ModelSpec(kind, 6, 3, hidden_dim=4 if kind == "mlp" else 0)
+        data = synthetic_classification(48, 6, 3, seed=3)
+        clients = partition_data(data, 2, seed=1)
+        cfg = base_cfg(num_clients=2, rounds=1, method="fedavg")
+        state = setup_experiment(cfg, model, clients, data)
+        passes = []
+        forward = models._forward
+
+        def counting(model_, g, x):  # the clients pass their own shards
+            passes.append(x is data.features)
+            return forward(model_, g, x)
+
+        monkeypatch.setattr(models, "_forward", counting)
+        _, record, _ = run_round(state, clients, cfg)
+        assert passes.count(True) == 1
+        monkeypatch.undo()
+        assert record.global_loss == loss(model, state.w, data)
+        assert record.eval_metric == models.accuracy(model, state.w, data)
+
+
+def bad_eval_set(data: Dataset, defect: str) -> Dataset:
+    """``data`` with a 17th feature column, or with one class index out of range."""
+    if defect == "wide":
+        return Dataset(np.hstack([data.features, data.features[:, :1]]),
+                       data.targets)
+    targets = data.targets.copy()
+    targets[5] = 3
+    return Dataset(data.features, targets)
+
+
+class TestEvaluationSet:
+    def task(self):
+        model = ModelSpec("mlp", 16, 3, hidden_dim=4, init_seed=1)
+        data = synthetic_classification(80, 16, 3, seed=2)
+        clients = partition_data(data, 4, seed=3)
+        return model, data, clients, base_cfg(num_clients=4, method="fedavg")
+
+    @pytest.mark.parametrize("defect, match", [
+        ("wide", "width 17, model expects 16"), ("class-index", "class index")])
+    def test_a_bad_eval_set_fails_before_any_client_trains(
+            self, monkeypatch, defect, match):
+        model, data, clients, cfg = self.task()
+        trained = []
+        monkeypatch.setattr(federation, "local_sgd",
+                            lambda *args, **kwargs: trained.append(args))
+        with pytest.raises(ShapeMismatchError, match=match):
+            setup_experiment(cfg, model, clients, bad_eval_set(data, defect))
+        with pytest.raises(ShapeMismatchError, match=match):
+            run_experiment(cfg, model, clients, bad_eval_set(data, defect))
+        assert trained == []
+
+    @pytest.mark.parametrize("defect", ["wide", "class-index"])
+    def test_a_round_whose_evaluation_fails_leaves_the_state_alone(self, defect):
+        model, data, clients, cfg = self.task()
+        state = setup_experiment(cfg, model, clients, data)
+        run_round(state, clients, cfg)  # so every counter is already non-zero
+        state.eval_data = bad_eval_set(data, defect)
+
+        def snapshot():
+            return (state.w.tobytes(), state.round_index, state.cumulative_upload,
+                    state.cumulative_download, state.cumulative_grad_evals)
+
+        before = snapshot()
+        with pytest.raises(ShapeMismatchError):
+            run_round(state, clients, cfg)
+        assert snapshot() == before
 
 
 class TestWalkEvaluator:

@@ -712,3 +712,73 @@ def test_training_and_evaluation_allocate_no_full_size_copies(call):
         evaluate = loss if call == "loss" else accuracy
         peak = _traced_peak(lambda: evaluate(m, w, held_out))
         assert peak <= 1.25 * len(held_out) * m.hidden_dim * 8
+
+
+# ---------------------------------------------------------------- eval batches
+
+def _eval_case(kind, params):
+    """A classifier, its parameters and a 60-example set; "zeros" ties every
+    logit, so every predicted class is 0."""
+    m = ModelSpec(kind, 6, 3, hidden_dim=4 if kind == "mlp" else 0, init_seed=1)
+    w = init_params(m) if params == "init" else np.zeros(m.dim)
+    return m, w, synthetic_classification(60, 6, 3, seed=2)
+
+
+@pytest.mark.parametrize("kind", ["logistic-regression", "mlp"])
+@pytest.mark.parametrize("params", ["init", "zeros"])
+@pytest.mark.parametrize("case", [
+    "fresh", "after-loss", "after-loss-equal-bytes", "after-loss-other-params",
+    "second-call", "other-model"])
+def test_eval_batch_accuracy_equals_the_plain_call(kind, params, case):
+    m, w, data = _eval_case(kind, params)
+    batch = models._EvalBatch(m, data)
+    # a model of the same dim with another layout: one hidden unit, c outputs
+    other_model = ModelSpec("mlp", 6, (m.dim - 7) // 2, hidden_dim=1)
+    assert other_model.dim == m.dim
+    other_w = np.zeros(m.dim) if params == "init" else init_params(m)
+    assert accuracy(m, other_w, data) != accuracy(m, w, data)
+    evaluated = {"after-loss-equal-bytes": w.copy(),
+                 "after-loss-other-params": other_w}.get(case, w)
+    if case != "fresh":
+        assert loss(m, evaluated, batch) == loss(m, evaluated, data)
+        kept_w, classes = batch.predicted
+        assert kept_w is evaluated
+        assert np.array_equal(classes, predict(m, evaluated, data.features))
+        if params == "zeros" and case != "after-loss-other-params":
+            assert not classes.any()
+    if case == "second-call":
+        assert accuracy(m, w, batch) == accuracy(m, w, data)
+        assert batch.predicted is None
+    model = other_model if case == "other-model" else m
+    assert accuracy(model, w, batch) == accuracy(model, w, data)
+    assert batch.predicted is None
+
+
+def test_eval_batch_is_filled_by_its_own_model_only():
+    m, w, data = _eval_case("mlp", "init")
+    batch = models._EvalBatch(m, data)
+    other = ModelSpec("mlp", 6, 18, hidden_dim=1)
+    assert loss(other, w, batch) == loss(other, w, data)
+    assert batch.predicted is None
+    regression = ModelSpec("linear-regression", 6, 1)
+    targets = synthetic_regression(60, 6, seed=2)
+    reg_batch = models._EvalBatch(regression, targets)
+    loss(regression, init_params(regression), reg_batch)
+    assert reg_batch.predicted is None
+
+
+def test_eval_batch_adds_at_most_its_classes_to_the_evaluation_peak():
+    # the shape and bound of test_training_and_evaluation_allocate_no_full_size
+    # _copies, plus the n int64 classes that loss keeps for accuracy
+    m = ModelSpec(kind="mlp", input_dim=256, output_dim=10, hidden_dim=256,
+                  init_seed=1)
+    w = init_params(m)
+    held_out = synthetic_classification(2000, 256, 10, seed=3)
+
+    def evaluate():
+        batch = models._EvalBatch(m, held_out)
+        return loss(m, w, batch), accuracy(m, w, batch)
+
+    peak = _traced_peak(evaluate)
+    n = len(held_out)
+    assert peak <= 1.25 * n * m.hidden_dim * 8 + n * 8

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import fedproj
-from fedproj import socketmode
+from fedproj import models, socketmode
 from fedproj.errors import (
     DivergedError,
     FedprojError,
@@ -459,6 +459,47 @@ def test_every_descriptor_is_closed_after_a_failed_start(
         run_experiment_sockets(cfg, model, clients, data)
     assert len(os.listdir("/proc/self/fd")) == before
     assert [end.fileno() for end in pairs[0]] == [-1, -1]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_classifier_socket_round_runs_one_evaluation_forward_pass(monkeypatch):
+    # the clients run in the worker, so every forward pass in this process
+    # is the server's evaluation
+    model, data, clients = mlp_task()
+    cfg = FedConfig(num_clients=4, rounds=2, local_iters=1, total_bases=8,
+                    local_lr=0.05, root_seed=11, batch_size=32, method="fedavg")
+    passes = []
+    forward = models._forward
+
+    def counting(*args):
+        passes.append(args[2] is data.features)
+        return forward(*args)
+
+    monkeypatch.setattr(models, "_forward", counting)
+    records = run_experiment_sockets(cfg, model, clients, data)
+    assert passes == [True] * cfg.rounds
+    monkeypatch.undo()
+    assert records == run_experiment(cfg, model, clients, data)
+
+
+@pytest.mark.parametrize("defect, match", [
+    ("wide", "width 17, model expects 16"), ("class-index", "class index")])
+def test_a_bad_eval_set_fails_before_the_worker_is_spawned(starts, defect, match):
+    model = ModelSpec("mlp", 16, 3, hidden_dim=4, init_seed=1)
+    data = synthetic_classification(80, 16, 3, seed=2)
+    clients = partition_data(data, 4, seed=3)
+    cfg = FedConfig(num_clients=4, rounds=1, local_iters=1, total_bases=8,
+                    local_lr=0.05, root_seed=11, method="fedavg")
+    if defect == "wide":
+        bad = Dataset(np.hstack([data.features, data.features[:, :1]]),
+                      data.targets)
+    else:
+        targets = data.targets.copy()
+        targets[5] = 3
+        bad = Dataset(data.features, targets)
+    with pytest.raises(ShapeMismatchError, match=match):
+        run_experiment_sockets(cfg, model, clients, bad)
+    assert starts.args_bytes == []
     assert multiprocessing.active_children() == []
 
 
