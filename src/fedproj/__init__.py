@@ -60,12 +60,11 @@ from .projection import (
 from .randbasis import (
     BasisChunk,
     RandomSeed,
-    TruncGaussStats,
     basis_tile,
     derive_subseed,
     mix64,
+    rho,
     sample_basis,
-    trunc_gauss_stats,
     uniform_stream,
 )
 from .repro import (

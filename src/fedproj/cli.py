@@ -30,8 +30,7 @@ from .federation import (FedConfig, account_costs, partition_data,
 from .models import (Dataset, ModelSpec, load_csv, load_npz,
                      synthetic_classification, synthetic_regression)
 from .projection import PROJECTION_VERSION, _TILE_ELEMS
-from .randbasis import (GAMMA, MIX_MULT_1, MIX_MULT_2, _RHO_SERIES_MIN_DIM,
-                        trunc_gauss_stats)
+from .randbasis import GAMMA, MIX_MULT_1, MIX_MULT_2, _RHO_SERIES_MIN_DIM, rho
 from .repro import SERIES_NAMES, build_series, format_records_csv, \
     format_series_csv
 from .verify import CHECK_NAMES, TheoryCheckConfig, run_battery, run_check
@@ -231,7 +230,6 @@ def cmd_repro(args) -> int:
 
 
 def cmd_protocol_dump(args) -> int:
-    rho_big = trunc_gauss_stats(1_000_000).rho
     lines = [
         "seed derivation",
         f"  GAMMA        = 0x{GAMMA:016X}",
@@ -248,7 +246,7 @@ def cmd_protocol_dump(args) -> int:
         "the largest float32 with b*b*dim <= 1 (every chunk norm <= 1)",
         "  entries stored as float32; reconstruction divides by rho(dim)",
         f"  rho switches to a series expansion at dim >= {_RHO_SERIES_MIN_DIM}",
-        f"  rho(10^6) = {rho_big!r}",
+        f"  rho(10^6) = {rho(1_000_000)!r}",
         f"  reconstruct row-group size = {_TILE_ELEMS} entries",
         "wire format",
         f"  PROJECTION_VERSION = {PROJECTION_VERSION}",

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DivergedError,
+    FedprojError,
     InvalidDimensionError,
     NumericError,
     PartitionError,
@@ -61,14 +62,12 @@ from .projection import (
     project,
     reconstruct,
 )
-from .randbasis import RandomSeed, derive_subseed, trunc_gauss_stats, uniform_stream
+from .randbasis import RandomSeed, _open_unit, derive_subseed, rho, uniform_stream
 from .wire import (TAG_PROJECTED, TAG_RAW, TAG_SCALAR, decode_client_update,
                    decode_frame, encode_client_update)
 from .zoo import LossFn, ScalarGrads, ZOConfig, fedkseed_local_step, replay_scalar_log, zo_gradient
 
 ALLOCATION_POLICIES = ("uniform", "norm-sqrt")
-SEED_POLICIES = ("per-round", "static")
-PARTITION_POLICIES = ("by-group", "single")
 
 # reserved basis_index lanes for engine-level subseed derivations, so protocol
 # streams (which always start from their own derived roots) cannot collide
@@ -90,9 +89,7 @@ class FedConfig:
     server_lr: float = 1.0
     participation: float = 1.0
     method: str = "subspace"
-    partition_policy: str = "by-group"
     allocation_policy: str = "uniform"
-    seed_policy: str = "per-round"
     root_seed: RandomSeed = 0
     batch_size: int = 16
     accum: int = 1
@@ -120,12 +117,8 @@ class FedConfig:
             raise InvalidDimensionError("zo_epsilon must be finite and > 0")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; options {METHODS}")
-        if self.partition_policy not in PARTITION_POLICIES:
-            raise ConfigError(f"unknown partition policy {self.partition_policy!r}")
         if self.allocation_policy not in ALLOCATION_POLICIES:
             raise ConfigError(f"unknown allocation policy {self.allocation_policy!r}")
-        if self.seed_policy not in SEED_POLICIES:
-            raise ConfigError(f"unknown seed policy {self.seed_policy!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}; "
                               f"options {OPTIMIZERS}")
@@ -179,9 +172,7 @@ class StreamRng:
         return out
 
     def normal(self) -> float:
-        # nudge off the lattice endpoints so the inverse cdf stays in (0, 1)
-        u = float(self.uniform(1)[0]) + 2.0 ** -54
-        return float(norm_ppf(u))
+        return float(norm_ppf(_open_unit(self.uniform(1)))[0])
 
     def gamma(self, alpha: float) -> float:
         """One Gamma(alpha, 1) draw (squeeze-accept with a cubed-normal proposal)."""
@@ -296,9 +287,9 @@ def sample_clients(cfg: FedConfig, round_index: int) -> list[int]:
 
 
 def projection_seed(cfg: FedConfig, round_index: int, client_id: int) -> RandomSeed:
-    r = round_index if cfg.seed_policy == "per-round" else 0
+    """The client's fresh seed for the round's bases or probe directions."""
     return derive_subseed(cfg.root_seed, client=client_id + 1,
-                          round_index=r + 1, basis_index=_IDX_PROJECTION)
+                          round_index=round_index + 1, basis_index=_IDX_PROJECTION)
 
 
 def _local_rng(cfg: FedConfig, round_index: int, client_id: int) -> RandomSeed:
@@ -519,22 +510,16 @@ def run_round(state: ExperimentState, clients: list[Dataset],
 
 # ---------------------------------------------------------------- experiment
 
-def _block_layout(cfg: FedConfig, model: ModelSpec) -> tuple[int, ...]:
-    return (model.dim,) if cfg.partition_policy == "single" else model.block_dims
-
-
 def build_partition(cfg: FedConfig, model: ModelSpec,
                     block_norms: np.ndarray | None = None) -> BlockPartition:
     """Block layout from the model's parameter groups plus a budget split."""
-    dims = _block_layout(cfg, model)
-    stats = [trunc_gauss_stats(d) for d in dims]
+    dims = model.block_dims
     if cfg.allocation_policy == "uniform" or block_norms is None:
         # equal weights: the allocator sees sqrt(norm / rho) = 1 for every block
-        norms = [s.rho for s in stats]
+        norms = [rho(d) for d in dims]
     else:
         norms = list(np.asarray(block_norms, dtype=np.float64))
-    budgets = allocate_budgets(norms, stats, cfg.total_bases)
-    return BlockPartition(tuple(dims), budgets)
+    return BlockPartition(dims, allocate_budgets(norms, dims, cfg.total_bases))
 
 
 def _calibration_norms(cfg: FedConfig, model: ModelSpec, w: np.ndarray,
@@ -543,7 +528,7 @@ def _calibration_norms(cfg: FedConfig, model: ModelSpec, w: np.ndarray,
     first = sample_clients(cfg, 0)[0]
     delta = _client_sgd(cfg, model, None, w, first, clients[first], 0)
     norms, at = [], 0
-    for d in _block_layout(cfg, model):
+    for d in model.block_dims:
         norms.append(float(np.linalg.norm(delta[at:at + d])))
         at += d
     return np.asarray(norms)
@@ -554,14 +539,19 @@ def setup_experiment(cfg: FedConfig, model: ModelSpec,
                      eval_data: Dataset | None = None) -> ExperimentState:
     """Initial parameters, eval split, and (for subspace) the frozen partition.
 
-    ``clients[i]`` is client i's shard.  A given ``eval_data`` is checked
-    against the model here, before any client trains."""
+    ``clients[i]`` is client i's shard.  Every shard and a given ``eval_data``
+    are checked against the model here, before any client trains or a socket
+    worker starts; a shard's error names its client."""
     if len(clients) != cfg.num_clients:
         raise PartitionError(
             f"config expects {cfg.num_clients} clients, got {len(clients)}")
     for i, data in enumerate(clients):
         if len(data) == 0:
             raise PartitionError(f"client {i} received no examples")
+        try:
+            _as_arrays(model, data)
+        except FedprojError as err:
+            raise type(err)(f"client {i}: {err}") from err
     w = init_params(model)
     if eval_data is not None:
         _as_arrays(model, eval_data)

@@ -42,10 +42,9 @@ from .errors import (
 from .randbasis import (
     _SPAN,
     RandomSeed,
-    TruncGaussStats,
     basis_tile,
     mix64,
-    trunc_gauss_stats,
+    rho,
 )
 
 PROJECTION_VERSION = 1
@@ -71,7 +70,6 @@ class BlockPartition:
     block_dims: tuple[int, ...]
     block_budgets: tuple[int, ...]
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    stats: tuple[TruncGaussStats, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.block_dims)
@@ -94,7 +92,6 @@ class BlockPartition:
             offs.append(o)
             o += d
         object.__setattr__(self, "offsets", tuple(offs))
-        object.__setattr__(self, "stats", tuple(trunc_gauss_stats(d) for d in dims))
 
     @property
     def num_blocks(self) -> int:
@@ -179,7 +176,7 @@ def project(update: UpdateVector, seed: RandomSeed) -> ProjectedUpdate:
         k_l = part.block_budgets[l]
         o = part.offsets[l]
         delta = update.values[o:o + d_l]
-        scale = 1.0 / (part.stats[l].rho * k_l)
+        scale = 1.0 / (rho(d_l) * k_l)
         gamma = np.empty(k_l, dtype=np.float64)
         step = _tile_rows(d_l, _SPAN)
         tile32 = np.empty((min(step, k_l), d_l), dtype=np.float32)
@@ -277,20 +274,20 @@ def _largest_remainder(total: int, quotas: np.ndarray) -> np.ndarray:
     return base
 
 
-def allocate_budgets(block_norms, block_stats, total_budget: int) -> tuple[int, ...]:
-    """Split a basis budget over blocks proportional to sqrt(norm_l / rho_l).
+def allocate_budgets(block_norms, block_dims, total_budget: int) -> tuple[int, ...]:
+    """Split a basis budget over blocks proportional to sqrt(norm_l / rho(d_l)).
 
     Largest-remainder rounding; every block gets at least 1; budgets are
     capped at the block dimension with the overflow re-split by the same rule.
     """
     norms = np.asarray(block_norms, dtype=np.float64)
-    stats = tuple(block_stats)
-    if norms.ndim != 1 or len(stats) != norms.shape[0]:
-        raise ShapeMismatchError("need one norm and one stats entry per block")
+    rhos = np.array([rho(d) for d in block_dims])
+    if norms.ndim != 1 or len(rhos) != norms.shape[0]:
+        raise ShapeMismatchError("need one norm and one dimension per block")
     if np.any(norms < 0) or not np.all(np.isfinite(norms)):
         raise InvalidDimensionError("block norms must be finite and non-negative")
-    n_blocks = len(stats)
-    dims = np.array([s.dim for s in stats], dtype=np.int64)
+    n_blocks = len(rhos)
+    dims = np.array(block_dims, dtype=np.int64)
     if total_budget < n_blocks:
         raise InfeasibleBudgetError(
             f"budget {total_budget} cannot give {n_blocks} blocks one basis each")
@@ -298,7 +295,7 @@ def allocate_budgets(block_norms, block_stats, total_budget: int) -> tuple[int, 
         raise InfeasibleBudgetError(
             f"budget {total_budget} exceeds total dimension {int(dims.sum())}")
 
-    weights = np.sqrt(norms / np.array([s.rho for s in stats]))
+    weights = np.sqrt(norms / rhos)
     if weights.sum() == 0.0:
         weights = np.ones(n_blocks)
 

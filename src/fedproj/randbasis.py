@@ -13,11 +13,13 @@ one stream family, at most one span and 16 rows, so a walk over k shares one
 
 The entry distribution is a standard normal truncated to ``[-1/sqrt(d),
 +1/sqrt(d)]`` for a block of dimension ``d``, which bounds every chunk's
-2-norm by 1.  ``rho`` is the per-entry second moment of that distribution;
-reconstruction divides by it to stay unbiased.  All derivation constants are
-frozen in PROTOCOL.md.  An entry is PPND16's inverse-cdf value rounded to
-float32; blocks of about 80 entries and up reach that value through
-``normal``'s cheaper series route, which yields the same float32 bits.
+2-norm by 1.  ``rho(d)``, the per-entry second moment of that distribution,
+is the one number a block needs from its dimension: reconstruction divides by
+it to stay unbiased, and it validates ``d`` for the generators.  All
+derivation constants are frozen in PROTOCOL.md.  An entry is PPND16's
+inverse-cdf value rounded to float32; blocks of about 80 entries and up reach
+that value through ``normal``'s cheaper series route, which yields the same
+float32 bits.
 """
 
 from __future__ import annotations
@@ -119,8 +121,20 @@ def uniform_stream(seed: RandomSeed, n: int, start: int = 0) -> np.ndarray:
     return _uniforms(state)
 
 
-def _rho(dim: int) -> float:
-    """Second moment of N(0,1) truncated to [-a, a], a = 1/sqrt(dim)."""
+def _open_unit(u: np.ndarray) -> np.ndarray:
+    """Stream uniforms nudged strictly inside (0, 1) for an inverse cdf, in
+    place: 0 moves up by 2^-54, and the top value 1 - 2^-53, which the same
+    nudge would round to 1, stays where it is."""
+    u += 2.0 ** -54
+    return np.minimum(u, 1.0 - _TWO_NEG53, out=u)
+
+
+@lru_cache(maxsize=None)
+def rho(dim: int) -> float:
+    """Second moment of N(0,1) truncated to [-a, a], a = 1/sqrt(dim): the
+    per-entry variance of a block's basis, which reconstruction divides by."""
+    if not isinstance(dim, int) or dim < 1:
+        raise InvalidDimensionError(f"block dimension must be a positive integer, got {dim!r}")
     a = 1.0 / math.sqrt(dim)
     # D = integral_0^a exp(-s^2/2) ds / a, written through erf (no cancellation)
     denom = math.erf(a / SQRT2) * math.sqrt(math.pi / 2.0) / a
@@ -133,22 +147,6 @@ def _rho(dim: int) -> float:
         coef = ((-1) ** (k + 1)) * k / (math.factorial(k) * 2.0 ** (k - 1) * (2 * k + 1))
         num = num * a2 + coef
     return num * a2 / denom
-
-
-@dataclass(frozen=True)
-class TruncGaussStats:
-    """Truncation geometry of one block: dimension, entry bound, second moment."""
-
-    dim: int
-    bound: float
-    rho: float
-
-
-@lru_cache(maxsize=None)
-def trunc_gauss_stats(dim: int) -> TruncGaussStats:
-    if not isinstance(dim, int) or dim < 1:
-        raise InvalidDimensionError(f"block dimension must be a positive integer, got {dim!r}")
-    return TruncGaussStats(dim=dim, bound=1.0 / math.sqrt(dim), rho=_rho(dim))
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +204,7 @@ def _trunc_plan(dim: int) -> tuple[float, float, int]:
     Uniforms map to p = u*width + lo; the series takes ``terms`` terms on
     that band, and 0 keeps PPND16 itself.
     """
-    lo, width = _phi_band(trunc_gauss_stats(dim).bound)
+    lo, width = _phi_band(1.0 / math.sqrt(dim))
     # p lies in [lo, lo + width]; the slack covers its rounding
     q_max = max(0.5 - lo, lo + width - 0.5) + 2.0 ** -50
     return lo, width, _central_series_terms(q_max)
@@ -251,7 +249,7 @@ def sample_basis(seed: RandomSeed, block_dim: int, basis_index: int,
     block_dim) share one basis_tile call; the values are a fresh, writable
     float32 array equal to basis_tile(seed, block, block_dim, k, k + 1)[0].
     """
-    trunc_gauss_stats(block_dim)  # validates block_dim before any cache lookup
+    rho(block_dim)  # validates block_dim before any cache lookup
     if basis_index < 0:
         raise InvalidDimensionError("invalid basis index range")
     rows = max(1, min(_GROUP_MAX_ROWS, _SPAN // block_dim))
@@ -274,7 +272,7 @@ def basis_tile(seed: RandomSeed, block: int, block_dim: int,
     """
     if not 0 <= k_lo <= k_hi:
         raise InvalidDimensionError("invalid basis index range")
-    trunc_gauss_stats(block_dim)  # validates block_dim
+    rho(block_dim)  # validates block_dim
     rows = k_hi - k_lo
     if out is None:
         out = np.empty((rows, block_dim), dtype=np.float32)

@@ -41,7 +41,7 @@ from .projection import (
     project,
     reconstruct,
 )
-from .randbasis import RandomSeed, derive_subseed, trunc_gauss_stats, uniform_stream
+from .randbasis import RandomSeed, _open_unit, derive_subseed, rho, uniform_stream
 from .zoo import ZOConfig, zo_gradient
 
 SERIES_NAMES = ("accuracy-vs-bases", "drift-immunity", "allocation-ablation",
@@ -68,10 +68,7 @@ class Series:
 
 
 def _normal_vec(seed: RandomSeed, n: int) -> np.ndarray:
-    # the 2^-54 nudge keeps the 53-bit lattice strictly inside (0, 1)
-    u = uniform_stream(seed, n)
-    u += 2.0 ** -54
-    return norm_ppf(u)
+    return norm_ppf(_open_unit(uniform_stream(seed, n)))
 
 
 def _sum_sin_sq(x: np.ndarray) -> float:
@@ -162,12 +159,11 @@ def allocation_ablation(block_dims: tuple[int, ...] = (256, 256, 256, 256),
         raise InvalidDimensionError("one norm per block")
     if trials < 1:
         raise InvalidDimensionError("need at least one trial")
-    stats = [trunc_gauss_stats(d) for d in block_dims]
     uniform = BlockPartition(
-        block_dims, allocate_budgets([s.rho for s in stats], stats,
+        block_dims, allocate_budgets([rho(d) for d in block_dims], block_dims,
                                      total_bases))
     scaled = BlockPartition(
-        block_dims, allocate_budgets(list(block_norms), stats, total_bases))
+        block_dims, allocate_budgets(list(block_norms), block_dims, total_bases))
 
     rows = []
     for t in range(trials):

@@ -26,7 +26,7 @@ from .federation import FedConfig, account_costs, partition_data, run_experiment
 from .models import ModelSpec, synthetic_regression
 from .projection import (BlockPartition, UpdateVector, block_cost,
                          cosine_similarity, project, reconstruct)
-from .randbasis import RandomSeed, basis_tile, derive_subseed, trunc_gauss_stats
+from .randbasis import RandomSeed, basis_tile, derive_subseed, rho
 from .repro import (_normal_vec, accuracy_vs_bases, allocation_ablation,
                     drift_immunity, format_records_csv)
 from .socketmode import run_experiment_sockets
@@ -44,9 +44,8 @@ class TheoryCheckConfig:
     keyword parameter of its ``_check_*`` function.  Construction raises
     ``ConfigError`` for an override the check does not read, for more than
     one ``dims`` or ``budgets`` entry on a check that runs one size, and for
-    ``error-bound`` dims and budgets of unequal length.  ``beta``,
-    ``sigma_sq`` and ``init_gap`` are the smoothness, gradient-variance and
-    initial-gap constants the convergence rate statement is phrased in.
+    ``error-bound`` dims and budgets of unequal length.  Every override moves
+    some check's measurement or verdict.
     """
 
     which: str
@@ -56,9 +55,6 @@ class TheoryCheckConfig:
     budgets: tuple[int, ...] | None = None
     tolerance: float | None = None
     epsilon: float | None = None
-    beta: float | None = None
-    sigma_sq: float | None = None
-    init_gap: float | None = None
 
     def __post_init__(self):
         if self.which not in CHECK_NAMES:
@@ -67,7 +63,7 @@ class TheoryCheckConfig:
         if self.trials is not None and not _is_count(self.trials):
             raise ConfigError(
                 f"trials must be an integer of at least 1, got {self.trials!r}")
-        for name in ("tolerance", "epsilon", "beta", "sigma_sq", "init_gap"):
+        for name in ("tolerance", "epsilon"):
             value = getattr(self, name)
             if value is not None and not _is_positive_real(value):
                 raise ConfigError(
@@ -179,8 +175,7 @@ def _check_error_bound(root: RandomSeed, dims=(1024, 4096, 16384),
     violations = 0
     parts = []
     for i, (d, k) in enumerate(zip(dims, budgets)):
-        rho = trunc_gauss_stats(d).rho
-        t = 2.0 * math.log(2.0 * d) / (rho * k)
+        t = 2.0 * math.log(2.0 * d) / (rho(d) * k)
         bound = max(2.0 * math.sqrt(t), t)
         part = BlockPartition((d,), (k,))
         delta = _normal_vec(derive_subseed(root, client=i + 1, basis_index=1), d)
@@ -201,14 +196,16 @@ def _check_error_bound(root: RandomSeed, dims=(1024, 4096, 16384),
 
 
 def _check_zo_connection(root: RandomSeed, dim=512, budget=32, trials=100,
-                         epsilon=(0.1, 0.01), beta=1.0):
+                         epsilon=(0.1, 0.01)):
     """Zeroth-order estimate tracks the projected gradient within beta*eps/2.
 
     On a beta-smooth quadratic the forward-difference scalar along a unit
     direction differs from the directional derivative by at most beta*eps/2,
-    and averaging over the shared basis preserves that gap in norm.
+    and averaging over the shared basis preserves that gap in norm.  The gap
+    and its limit both scale with beta, so their ratio does not depend on it;
+    beta stays fixed at 1.
     """
-    d, k = dim, budget
+    d, k, beta = dim, budget, 1.0
     eps_values = epsilon if isinstance(epsilon, tuple) else (epsilon,)
     worst = 0.0
     violations = 0
@@ -248,7 +245,7 @@ def _check_rho_rate(root: RandomSeed,
                     dims=(100, 1_000, 10_000, 100_000, 1_000_000),
                     tolerance=0.05):
     """1/rho grows linearly in d and rho*d approaches 1/3."""
-    rhos = np.array([trunc_gauss_stats(d).rho for d in dims])
+    rhos = np.array([rho(d) for d in dims])
     slope = float(np.polyfit(np.log(np.array(dims, dtype=np.float64)),
                              np.log(1.0 / rhos), 1)[0])
     prod = float(rhos[-1] * dims[-1])
@@ -345,14 +342,13 @@ def _rounds_to(records, threshold: float) -> int | None:
     return None
 
 
-def _check_convergence(root: RandomSeed, tolerance=0.10, beta=1.0, sigma_sq=1.0,
-                       init_gap=1.0):
+def _check_convergence(root: RandomSeed, tolerance=0.10):
     """Subspace training tracks dense averaging; sequential ZO trails it.
 
     The rate statement says rounds to an eps-stationary point scale like
-    beta * sigma^2 * init_gap / eps^2 with the compression only entering
-    through constants; the check exercises the trackable consequence at
-    desk scale and reports the plug-in constants.
+    beta * sigma^2 * (f(w_0) - f*) / eps^2 with the compression only entering
+    through constants.  Those constants move no measurement, so the check
+    exercises the trackable consequence at desk scale instead.
     """
     model, data, clients = _convergence_task()
     rounds = 20
@@ -370,12 +366,10 @@ def _check_convergence(root: RandomSeed, tolerance=0.10, beta=1.0, sigma_sq=1.0,
     kseed_cross = _rounds_to(runs["fedkseed"], threshold)
     ordered = sub_cross is not None and (kseed_cross is None
                                          or kseed_cross > sub_cross)
-    plug = beta * sigma_sq * init_gap
     detail = (f"final-loss relative gap to dense after {rounds} rounds "
               f"(want <= {tolerance:g}); rounds to the dense round-{rounds // 2} "
               f"loss: subspace {sub_cross}, sequential zeroth-order "
-              f"{'never' if kseed_cross is None else kseed_cross}; rate "
-              f"constant beta*sigma^2*gap = {plug:g}")
+              f"{'never' if kseed_cross is None else kseed_cross}")
     return gap <= tolerance and ordered, gap, tolerance, detail
 
 

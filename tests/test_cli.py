@@ -91,6 +91,16 @@ class TestRun:
         assert main(["run", dump(tmp_path, cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("partition_policy", "by-group"),
+                                           ("seed_policy", "per-round")])
+    def test_removed_federation_settings_exit_2(self, tmp_path, capsys, key,
+                                                value):
+        # settings that changed no run are gone; a config that still sets
+        # one, even to its old default, is refused by name
+        cfg = base_config(tmp_path, **{key: value})
+        assert main(["run", dump(tmp_path, cfg)]) == 2
+        assert f"unknown key(s) in federation: {key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section,key,value", [
         ("model", "input_dim", "8"),
         ("data", "n", "64"),

@@ -25,7 +25,7 @@ from fedproj.projection import (
     project,
     reconstruct,
 )
-from fedproj.randbasis import basis_tile, trunc_gauss_stats, trunc_gauss_stream
+from fedproj.randbasis import basis_tile, rho, trunc_gauss_stream
 
 
 def _gauss(seed: int, n: int) -> np.ndarray:
@@ -52,7 +52,6 @@ def test_partition_validation():
     p = BlockPartition((6, 10), (2, 3))
     assert p.total_dim == 16 and p.total_budget == 5
     assert p.offsets == (0, 6)
-    assert p.stats[1].dim == 10
 
 
 def test_partition_id_stable_and_layout_sensitive():
@@ -99,7 +98,7 @@ def test_project_explicit_small_oracle():
     delta = np.array([1.0, 2.0, 3.0, 4.0])
     proj = project(UpdateVector(delta, part), seed=42)
     v = _materialize(42, part, 0)  # (2, 4)
-    want = (v @ delta) / (trunc_gauss_stats(4).rho * 2)
+    want = (v @ delta) / (rho(4) * 2)
     np.testing.assert_allclose(proj.block_coords[0],
                                want.astype(np.float32), rtol=1e-6)
     assert proj.block_coords[0].dtype == np.float32
@@ -223,7 +222,7 @@ def test_blockwise_equals_per_block_oracle():
     for l, (off, d_l, k_l) in enumerate(zip(part.offsets, part.block_dims,
                                             part.block_budgets)):
         v = _materialize(11, part, l)
-        want = (v @ delta[off:off + d_l]) / (part.stats[l].rho * k_l)
+        want = (v @ delta[off:off + d_l]) / (rho(d_l) * k_l)
         np.testing.assert_allclose(proj.block_coords[l],
                                    want.astype(np.float32), rtol=1e-5)
 
@@ -253,7 +252,7 @@ def test_roundtrip_matches_materialized_oracle():
     delta = _gauss(6, 512)
     got = reconstruct(project(UpdateVector(delta, part), seed=21), part)
     v = _materialize(21, part, 0)  # (16, 512)
-    scale = 1.0 / (part.stats[0].rho * 16)
+    scale = 1.0 / (rho(512) * 16)
     coords32 = (scale * (v @ delta)).astype(np.float32)
     want = v.T @ coords32.astype(np.float64)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
@@ -267,7 +266,7 @@ def test_roundtrip_multiblock_matches_oracle():
                                             part.block_budgets)):
         v = _materialize(2, part, l)
         coords32 = ((v @ delta[off:off + d_l]) /
-                    (part.stats[l].rho * k_l)).astype(np.float32)
+                    (rho(d_l) * k_l)).astype(np.float32)
         want = v.T @ coords32.astype(np.float64)
         np.testing.assert_allclose(got[off:off + d_l], want, rtol=1e-10,
                                    atol=1e-12)
@@ -318,7 +317,7 @@ def test_error_bound_holds_over_trials():
     part = BlockPartition((d,), (k,))
     delta = _gauss(11, d)
     u = UpdateVector(delta, part)
-    rho_k = part.stats[0].rho * k
+    rho_k = rho(d) * k
     t = 2.0 * math.log(2 * d) / rho_k
     bound = max(2.0 * math.sqrt(t), t)
     norm = np.linalg.norm(delta)
@@ -371,7 +370,7 @@ def test_gram_matrix_concentrates():
     # V^T V / (rho d) approaches the identity; justifies skipping the inverse
     d, k = 4096, 32
     v = basis_tile(17, 0, d, 0, k).astype(np.float64)
-    gram = v @ v.T / (trunc_gauss_stats(d).rho * d)
+    gram = v @ v.T / (rho(d) * d)
     dev = np.abs(gram - np.eye(k)).max()
     assert dev < 0.15
 
@@ -379,39 +378,38 @@ def test_gram_matrix_concentrates():
 # ---------------------------------------------------------------- budgets
 
 def test_allocate_spec_examples():
-    s64 = [trunc_gauss_stats(64)] * 4
-    assert allocate_budgets([1, 1, 1, 1], s64, 16) == (4, 4, 4, 4)
-    s2 = [trunc_gauss_stats(64)] * 2
-    assert allocate_budgets([16, 1], s2, 15) == (12, 3)
-    assert allocate_budgets([10, 0, 3], [trunc_gauss_stats(64)] * 3, 6)[1] == 1
+    assert allocate_budgets([1, 1, 1, 1], (64,) * 4, 16) == (4, 4, 4, 4)
+    assert allocate_budgets([16, 1], (64, 64), 15) == (12, 3)
+    assert allocate_budgets([10, 0, 3], (64,) * 3, 6)[1] == 1
 
 
 def test_allocate_caps_redistribute():
-    stats = [trunc_gauss_stats(2), trunc_gauss_stats(64)]
-    alloc = allocate_budgets([100, 1], stats, 10)
+    alloc = allocate_budgets([100, 1], (2, 64), 10)
     assert alloc[0] == 2 and sum(alloc) == 10
 
 
 def test_allocate_all_zero_norms_uniform():
-    stats = [trunc_gauss_stats(8)] * 4
-    assert allocate_budgets([0, 0, 0, 0], stats, 8) == (2, 2, 2, 2)
+    assert allocate_budgets([0, 0, 0, 0], (8,) * 4, 8) == (2, 2, 2, 2)
 
 
 def test_allocate_favors_low_rho_blocks():
     # same norms: the wider block (smaller rho) deserves more bases
-    stats = [trunc_gauss_stats(16), trunc_gauss_stats(4096)]
-    alloc = allocate_budgets([1.0, 1.0], stats, 12)
+    alloc = allocate_budgets([1.0, 1.0], (16, 4096), 12)
     assert alloc[1] > alloc[0]
 
 
 def test_allocate_infeasible():
-    stats = [trunc_gauss_stats(4)] * 3
+    dims = (4, 4, 4)
     with pytest.raises(InfeasibleBudgetError):
-        allocate_budgets([1, 1, 1], stats, 2)
+        allocate_budgets([1, 1, 1], dims, 2)
     with pytest.raises(InfeasibleBudgetError):
-        allocate_budgets([1, 1, 1], stats, 13)
+        allocate_budgets([1, 1, 1], dims, 13)
     with pytest.raises(InvalidDimensionError):
-        allocate_budgets([-1, 1, 1], stats, 6)
+        allocate_budgets([-1, 1, 1], dims, 6)
+    with pytest.raises(ShapeMismatchError):
+        allocate_budgets([1, 1], dims, 6)
+    with pytest.raises(InvalidDimensionError):
+        allocate_budgets([1, 1, 1], (4, 0, 4), 6)
 
 
 @settings(max_examples=100, deadline=None)
@@ -421,8 +419,7 @@ def test_allocate_properties(blocks, data):
     dims = [b[0] for b in blocks]
     norms = [b[1] for b in blocks]
     total = data.draw(st.integers(len(blocks), sum(dims)))
-    stats = [trunc_gauss_stats(d) for d in dims]
-    alloc = allocate_budgets(norms, stats, total)
+    alloc = allocate_budgets(norms, dims, total)
     assert sum(alloc) == total
     assert all(1 <= k <= d for k, d in zip(alloc, dims))
 

@@ -58,15 +58,13 @@ def test_engine_lanes(name, use):
     assert use in lanes[str(getattr(federation, name))]
 
 
-@pytest.mark.parametrize("policy", ["per-round", "static"])
-def test_lane_2_is_per_client_and_round(policy):
+def test_lane_2_is_per_client_and_round():
     block, lane = _stated(r"derive_subseed\(root, client \+ 1, round \+ 1, (\d+), (\d+)\)")
     cfg = federation.FedConfig(num_clients=4, rounds=1, local_iters=1,
-                               total_bases=1, local_lr=0.1, root_seed=9,
-                               seed_policy=policy)
+                               total_bases=1, local_lr=0.1, root_seed=9)
     for round_index, client in ((0, 0), (3, 1), (5, 3)):
-        r = round_index if policy == "per-round" else 0
-        want = randbasis.derive_subseed(9, client + 1, r + 1, int(block), int(lane))
+        want = randbasis.derive_subseed(9, client + 1, round_index + 1, int(block),
+                                        int(lane))
         assert federation.projection_seed(cfg, round_index, client) == want
 
 

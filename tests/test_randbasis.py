@@ -18,8 +18,8 @@ from fedproj.randbasis import (
     basis_tile,
     derive_subseed,
     mix64,
+    rho,
     sample_basis,
-    trunc_gauss_stats,
     trunc_gauss_stream,
     uniform_stream,
 )
@@ -117,34 +117,31 @@ def test_rho_frozen_values():
         (257, 0.0012963440848367855235),
         (10**6, 3.3333328888889100529e-7),
     ]:
-        got = trunc_gauss_stats(dim).rho
+        got = rho(dim)
         assert abs(got - want) / want < 1e-12
 
 
 def test_rho_matches_oracle_across_scales():
     for dim in (1, 2, 3, 7, 50, 255, 256, 257, 300, 1000, 4096, 10**4, 10**6, 10**9):
-        got = trunc_gauss_stats(dim).rho
+        got = rho(dim)
         want = _rho_oracle(dim)
         assert abs(got - want) / want < 1e-12, dim
 
 
 def test_rho_times_dim_approaches_one_third():
-    assert abs(trunc_gauss_stats(10**6).rho * 10**6 - 1.0 / 3.0) < 1e-3 / 3.0
+    assert abs(rho(10**6) * 10**6 - 1.0 / 3.0) < 1e-3 / 3.0
 
 
 def test_rho_strictly_decreasing():
     dims = list(range(1, 129)) + [200, 500, 1000, 2000, 5000, 10**4]
-    rhos = [trunc_gauss_stats(d).rho for d in dims]
+    rhos = [rho(d) for d in dims]
     assert all(a > b for a, b in zip(rhos, rhos[1:]))
 
 
-def test_stats_validation():
-    with pytest.raises(InvalidDimensionError):
-        trunc_gauss_stats(0)
-    with pytest.raises(InvalidDimensionError):
-        trunc_gauss_stats(-3)
-    s = trunc_gauss_stats(10)
-    assert s.bound == 1.0 / math.sqrt(10)
+def test_rho_validation():
+    for dim in (0, -3, 2.0, np.int64(10)):
+        with pytest.raises(InvalidDimensionError):
+            rho(dim)
 
 
 # ---------------------------------------------------------------- chunks
@@ -181,10 +178,9 @@ def test_distinct_indices_give_distinct_chunks():
 
 def test_entries_respect_bound_and_norm():
     for dim in (1, 2, 17, 64, 1000):
-        stats = trunc_gauss_stats(dim)
         for k in range(3):
             v = sample_basis(321, dim, k).values
-            assert np.all(np.abs(v.astype(np.float64)) <= stats.bound)
+            assert np.all(np.abs(v.astype(np.float64)) <= 1.0 / math.sqrt(dim))
             assert float(np.linalg.norm(v.astype(np.float64))) <= 1.0
 
 
@@ -207,7 +203,7 @@ def test_tile_rows_are_clipped_trunc_gauss_streams(seed, block, k_lo):
     # derive_subseed's for any seed and index, however basis_tile folds them
     dim = 1000
     tile = basis_tile(seed, block, dim, k_lo, k_lo + 4)
-    bound, clip = trunc_gauss_stats(dim).bound, _clip_bound(dim)
+    bound, clip = 1.0 / math.sqrt(dim), _clip_bound(dim)
     for k in range(k_lo, k_lo + 4):
         stream = trunc_gauss_stream(derive_subseed(seed, 0, 0, block, k), dim, bound)
         np.testing.assert_array_equal(
@@ -313,8 +309,8 @@ def test_pooled_second_moment_matches_rho():
     dim, m = 64, 10_000
     tile = basis_tile(777, 0, dim, 0, m).astype(np.float64)
     second = float(np.mean(tile * tile))
-    rho = trunc_gauss_stats(dim).rho
-    assert abs(second - rho) / rho < 0.01
+    want = rho(dim)
+    assert abs(second - want) / want < 0.01
     # pooled mean near zero
     assert abs(float(tile.mean())) < 4.0 / math.sqrt(m * dim)
 

@@ -1,6 +1,7 @@
 """Tests for the desk-scale study series."""
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 import fedproj
+from fedproj import federation, repro
 from fedproj.errors import ConfigError, InvalidDimensionError
 from fedproj.federation import RoundRecord
+from fedproj.normal import norm_ppf
 from fedproj.repro import (RECORD_COLUMNS, SERIES_NAMES, Series, _normal_vec,
                            accuracy_vs_bases, allocation_ablation,
                            build_series, drift_immunity, format_records_csv,
@@ -62,6 +65,23 @@ def test_normal_vec_golden_digest():
     v = _normal_vec(0xABCDEF, 50_000)
     assert hashlib.sha256(v.tobytes()).hexdigest() == (
         "e02d20e285992a2fbaedddab17f48828970fe0424fb7da268eb874cb49796332")
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
+def test_lattice_ends_stay_inside_the_unit_interval(monkeypatch, u):
+    # the stream's ends: 0 moves up to 2^-54, and the top value 1 - 2^-53,
+    # which a plain 2^-54 nudge rounds to 1.0, stays itself, for the
+    # repro vectors and the federation's StreamRng alike
+    want = norm_ppf(max(u, 2.0 ** -54))
+    assert math.isfinite(want)
+
+    def stream(seed, n, start=0):
+        return np.full(n, u)
+
+    monkeypatch.setattr(repro, "uniform_stream", stream)
+    monkeypatch.setattr(federation, "uniform_stream", stream)
+    assert np.array_equal(_normal_vec(1, 3), np.full(3, want))
+    assert federation.StreamRng(1).normal() == want
 
 
 class TestDriftImmunity:

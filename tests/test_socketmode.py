@@ -21,10 +21,11 @@ import numpy as np
 import pytest
 
 import fedproj
-from fedproj import models, socketmode
+from fedproj import federation, models, socketmode
 from fedproj.errors import (
     DivergedError,
     FedprojError,
+    NumericError,
     ProtocolError,
     ShapeMismatchError,
 )
@@ -320,51 +321,59 @@ def test_zeroth_order_divergence_is_the_same_on_both_transports(method):
     assert fields[0][2:] == (0, sample_clients(cfg, 0)[0], 1)
 
 
-def defective_shard_task(defect):
-    """Three clients; client 1's fifth example has a NaN feature or class 3 of 3."""
-    model = ModelSpec("logistic-regression", 6, 3, init_seed=1)
-    data = synthetic_classification(60, 6, 3, seed=2)
-    clients = partition_data(data, 3, seed=3)
-    features = clients[1].features.copy()
-    targets = clients[1].targets.copy()
-    if defect == "nan-feature":
-        features[4, 2] = np.nan
-    else:
-        targets[4] = 3
-    clients[1] = Dataset(features, targets)
-    return model, data, clients
-
-
-# (type, message, round, client, iteration) raised by the first loss call of
-# the defective shard's walk, in process and then over sockets, where a worker
-# that raises anything but DivergedError dies and the server sees its closed
-# connection (ROADMAP item 4)
-_NAN = "loss evaluator returned non-finite value at {}"
-_CLASS = "class index outside [0, 3)"
-_CLOSED = "connection closed 4 bytes early"
-_SHARD_ERRORS = {
-    ("fedzo", "nan-feature"): [(DivergedError, _NAN.format("base point"), 0, 1, 0)] * 2,
-    ("fedkseed", "nan-feature"): [(DivergedError, _NAN.format("perturbation 0"), 0, 1, 0)] * 2,
-    ("fedzo", "class-index"): [(ShapeMismatchError, _CLASS, None, None, None),
-                               (ProtocolError, _CLOSED, None, None, None)],
-    ("fedkseed", "class-index"): [(ShapeMismatchError, _CLASS, None, None, None),
-                                  (ProtocolError, _CLOSED, None, None, None)],
+# defect -> (client, error type, message after "client <i>: "); the NaN goes
+# to the first client that round 0 does not sample, so only a set-up check
+# reaches it before training
+_SHARD_DEFECTS = {
+    "wide": (3, ShapeMismatchError, "features have width 7, model expects 6"),
+    "nan-feature": (None, NumericError, "non-finite feature values"),
+    "class-index": (1, ShapeMismatchError, "class index outside [0, 3)"),
 }
 
 
-@pytest.mark.parametrize("method,defect", sorted(_SHARD_ERRORS))
-def test_defective_shard_fails_at_the_first_loss_call(method, defect):
-    model, data, clients = defective_shard_task(defect)
-    cfg = FedConfig(num_clients=3, rounds=2, local_iters=2, total_bases=4,
-                    local_lr=0.05, root_seed=11, method=method)
+def defective_shard_task(defect, cfg):
+    """Four clients and the eval data; one client has the defect.  The wide
+    shard comes with no eval data, so set-up would otherwise concatenate it."""
+    model = ModelSpec("logistic-regression", 6, 3, init_seed=1)
+    data = synthetic_classification(80, 6, 3, seed=2)
+    clients = partition_data(data, 4, seed=3)
+    client = _SHARD_DEFECTS[defect][0]
+    if client is None:
+        client = min(set(range(4)) - set(sample_clients(cfg, 0)))
+    features = clients[client].features.copy()
+    targets = clients[client].targets.copy()
+    if defect == "wide":
+        features = np.hstack([features, np.ones((len(targets), 1))])
+        data = None
+    elif defect == "nan-feature":
+        features[4, 2] = np.nan
+    else:
+        targets[4] = 3
+    clients[client] = Dataset(features, targets)
+    return model, data, clients, client
+
+
+@pytest.mark.parametrize("defect", sorted(_SHARD_DEFECTS))
+@pytest.mark.parametrize("method", fedproj.METHODS)
+def test_defective_shard_fails_at_set_up_over_both_transports(
+        monkeypatch, starts, method, defect):
+    # set-up checks every shard: each transport raises the same error, which
+    # names the client, before any client trains or the worker is spawned
+    trained = []
+    monkeypatch.setattr(federation, "client_update_frame",
+                        lambda *args: trained.append(args))
+    cfg = FedConfig(num_clients=4, rounds=2, local_iters=2, total_bases=4,
+                    local_lr=0.05, root_seed=11, participation=0.5,
+                    method=method)
+    model, data, clients, client = defective_shard_task(defect, cfg)
+    _, error, message = _SHARD_DEFECTS[defect]
     got = []
     for run in (run_experiment, run_experiment_sockets):
         with pytest.raises(FedprojError) as err:
             run(cfg, model, clients, data)
-        e = err.value
-        got.append((type(e), str(e), getattr(e, "round_index", None),
-                    getattr(e, "client_id", None), getattr(e, "iteration", None)))
-    assert got == _SHARD_ERRORS[method, defect]
+        got.append((type(err.value), str(err.value)))
+    assert got == [(error, f"client {client}: {message}")] * 2
+    assert trained == [] and starts.env == []
 
 
 WORKER_ENV = {

@@ -1,6 +1,8 @@
 """Tests for the statistical check harness (downscaled where needed)."""
 
 import math
+from dataclasses import fields
+from functools import cache
 
 import numpy as np
 import pytest
@@ -16,18 +18,45 @@ from fedproj.verify import (CHECK_NAMES, CheckReport, TheoryCheckConfig,
 _READS = {
     "unbiased": {"dims", "budgets", "trials", "tolerance"},
     "error-bound": {"dims", "budgets", "trials"},
-    "zo-connection": {"dims", "budgets", "trials", "epsilon", "beta"},
+    "zo-connection": {"dims", "budgets", "trials", "epsilon"},
     "rho-rate": {"dims", "tolerance"},
     "accuracy-vs-bases": {"dims", "budgets", "trials", "epsilon"},
     "drift-immunity": {"dims", "budgets", "trials", "epsilon", "tolerance"},
     "block-speedup": {"dims", "budgets", "tolerance"},
     "allocation": {"trials"},
-    "convergence": {"tolerance", "beta", "sigma_sq", "init_gap"},
+    "convergence": {"tolerance"},
     "accounting": set(),
     "determinism": set(),
 }
 _VALUES = {"trials": 3, "dims": (64,), "budgets": (8,), "tolerance": 0.5,
-           "epsilon": 0.1, "beta": 2.0, "sigma_sq": 2.0, "init_gap": 2.0}
+           "epsilon": 0.1}
+
+# per check, a small base run and, for each override the check reads, a value
+# that moves its (measured, passed); a tolerance moves it by flipping the
+# verdict.  The drift-immunity base is a draw whose verdict epsilon decides.
+_MOVES = {
+    "unbiased": (dict(dims=(64,), budgets=(8,), trials=50, tolerance=1.0),
+                 dict(dims=(32,), budgets=(4,), trials=40, tolerance=1e-6)),
+    "error-bound": (dict(dims=(128,), budgets=(16,), trials=5),
+                    dict(dims=(64,), budgets=(8,), trials=4)),
+    "zo-connection": (dict(dims=(64,), budgets=(8,), trials=3, epsilon=0.1),
+                      dict(dims=(32,), budgets=(4,), trials=1, epsilon=0.01)),
+    "rho-rate": (dict(dims=(100, 1000, 10_000), tolerance=0.05),
+                 dict(dims=(100, 1000), tolerance=1e-9)),
+    "accuracy-vs-bases": (
+        dict(dims=(400,), budgets=(16, 64), trials=3, epsilon=0.1),
+        dict(dims=(200,), budgets=(32, 64), trials=2, epsilon=0.01)),
+    "drift-immunity": (
+        dict(seed=2025, dims=(16,), budgets=(2,), trials=1, epsilon=10.0,
+             tolerance=1.0),
+        dict(dims=(32,), budgets=(4,), trials=2, epsilon=0.1, tolerance=1e-9)),
+    "block-speedup": (dict(dims=(1 << 14,), budgets=(32,), tolerance=0.5),
+                      dict(dims=(1 << 13,), budgets=(16,), tolerance=1e9)),
+    "allocation": (dict(trials=3), dict(trials=2)),
+    "convergence": (dict(tolerance=0.1), dict(tolerance=1e-9)),
+    "accounting": ({}, {}),
+    "determinism": ({}, {}),
+}
 
 
 class TestTheoryCheckConfig:
@@ -51,24 +80,17 @@ class TestTheoryCheckConfig:
         with pytest.raises(ConfigError, match="epsilon"):
             TheoryCheckConfig(which="zo-connection", epsilon=-0.1)
 
-    @pytest.mark.parametrize("field", ["beta", "sigma_sq", "init_gap"])
-    def test_rejects_nonpositive_rate_constants(self, field):
-        with pytest.raises(ConfigError, match=field):
-            TheoryCheckConfig(which="convergence", **{field: 0.0})
-
-    @pytest.mark.parametrize("field", ["tolerance", "epsilon", "beta",
-                                       "sigma_sq", "init_gap"])
+    @pytest.mark.parametrize("field", ["tolerance", "epsilon"])
     @pytest.mark.parametrize("value", ["0.5", True, math.inf, -math.inf, math.nan])
     def test_rejects_non_real_or_non_finite_overrides(self, field, value):
-        which = {"epsilon": "zo-connection", "tolerance": "unbiased"}.get(
-            field, "convergence")
+        which = {"epsilon": "zo-connection", "tolerance": "unbiased"}[field]
         with pytest.raises(ConfigError, match=f"^{field} must be a finite real"):
             TheoryCheckConfig(which=which, **{field: value})
 
     def test_accepts_integer_and_numpy_real_overrides(self):
-        cfg = TheoryCheckConfig(which="convergence", tolerance=1,
-                                beta=np.float32(2.0), sigma_sq=np.int64(3))
-        assert (cfg.tolerance, cfg.beta, cfg.sigma_sq) == (1, 2.0, 3)
+        cfg = TheoryCheckConfig(which="drift-immunity", tolerance=np.int64(1),
+                                epsilon=np.float32(0.5))
+        assert (cfg.tolerance, cfg.epsilon) == (1, 0.5)
 
     def test_rejects_bad_dims_and_budgets(self):
         with pytest.raises(ConfigError, match="dims"):
@@ -96,6 +118,10 @@ class TestTheoryCheckConfig:
 
     def test_reads_table_covers_every_check(self):
         assert set(_READS) == set(CHECK_NAMES)
+
+    def test_every_override_is_read_by_some_check(self):
+        overrides = {f.name for f in fields(TheoryCheckConfig)[2:]}
+        assert overrides == set().union(*_READS.values()) == set(_VALUES)
 
     @pytest.mark.parametrize("which", CHECK_NAMES)
     def test_accepts_every_override_its_check_reads(self, which):
@@ -240,6 +266,22 @@ class TestRunCheckSmall:
     def test_same_seed_same_report(self):
         cfg = TheoryCheckConfig(which="allocation", trials=3, seed=5)
         assert run_check(cfg) == run_check(cfg)
+
+
+@cache
+def _base_report(which: str) -> CheckReport:
+    return run_check(TheoryCheckConfig(which=which, **_MOVES[which][0]))
+
+
+@pytest.mark.parametrize("which,field", [
+    (which, field) for which in CHECK_NAMES for field in sorted(_READS[which])])
+def test_every_override_moves_its_check(which, field):
+    base, moved = _MOVES[which]
+    assert set(moved) == _READS[which]
+    report = run_check(TheoryCheckConfig(which=which,
+                                         **{**base, field: moved[field]}))
+    before = _base_report(which)
+    assert (report.measured, report.passed) != (before.measured, before.passed)
 
 
 class TestRunBattery:
