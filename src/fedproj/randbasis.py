@@ -7,9 +7,12 @@ in parallel, or in tiles without changing a single bit of the output.
 ``basis_tile`` and ``trunc_gauss_stream`` fill their output in cache-sized
 spans of ``_SPAN`` entries; every step is elementwise, so the span size
 changes no bit and no sum.
-``sample_basis`` serves each row from a cached group of consecutive rows of
-one stream family, at most one span and 16 rows, so a walk over k shares one
+``sample_basis`` serves each row from a group of consecutive rows of one
+stream family, at most one span and 16 rows, so a walk over k shares one
 ``basis_tile`` call per group; for the same reason the grouping moves no bit.
+Generated groups of the current family are kept, up to ``_KEEP_MAX_ENTRIES``
+float32 entries, so a walk that re-reads its family's rows (fedkseed's
+replay right after its walk) reads them instead of generating them again.
 
 The entry distribution is a standard normal truncated to ``[-1/sqrt(d),
 +1/sqrt(d)]`` for a block of dimension ``d``, which bounds every chunk's
@@ -25,6 +28,7 @@ float32 bits.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,6 +53,10 @@ _TWO_NEG53 = 2.0 ** -53
 # most rows in one sample_basis group: bounds a group miss on a tiny block to
 # 16 derive_subseed calls instead of _SPAN of them
 _GROUP_MAX_ROWS = 16
+
+# most float32 entries the row keep holds (4 MiB); the rows of a longer walk
+# past them are generated again when they are read again
+_KEEP_MAX_ENTRIES = 1 << 20
 
 # rho switches from the closed form to a cancellation-free series here
 _RHO_SERIES_MIN_DIM = 257
@@ -226,16 +234,58 @@ def _trunc_values_inplace(u: np.ndarray, dim: int, out: np.ndarray) -> None:
     out[...] = v  # float32 out rounds to nearest, as astype(np.float32) does
 
 
-# one entry: every walk in the package runs one stream family at a time.
-# typed, so a hit needs the argument types of an earlier call that succeeded,
-# and an ill-typed block or index still reaches basis_tile's own errors
-@lru_cache(maxsize=1, typed=True)
-def _row_group(seed: RandomSeed, block: int, block_dim: int,
-               k_lo: int, k_hi: int) -> np.ndarray:
-    """basis_tile(seed, block, block_dim, k_lo, k_hi), read-only."""
-    rows = basis_tile(seed, block, block_dim, k_lo, k_hi)
-    rows.flags.writeable = False
-    return rows
+class _RowKeep:
+    """Read-only row groups of one stream family, keyed by their first row.
+
+    Groups are kept first-come up to ``_KEEP_MAX_ENTRIES`` entries; a group
+    past that is held alone in ``last`` until the next one replaces it, so a
+    walk still reads each group's rows from one ``basis_tile`` call.  A group
+    of another family drops everything.  Keys carry the argument types, so a
+    hit needs the types of an earlier call that succeeded, and an ill-typed
+    block or index still reaches basis_tile's own errors.  Generation runs
+    outside the lock; threads that make the same group keep the first copy.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        self.family = None
+        self.groups = {}
+        self.entries = 0
+        self.last = (None, None)
+
+    def rows(self, seed: RandomSeed, block: int, block_dim: int,
+             k_lo: int, k_hi: int) -> np.ndarray:
+        """basis_tile(seed, block, block_dim, k_lo, k_hi), read-only."""
+        family = (seed, block, block_dim, type(block), type(block_dim))
+        key = (k_lo, type(k_lo))
+        with self.lock:
+            if family == self.family:
+                rows = self.groups.get(key)
+                if rows is None and self.last[0] == key:
+                    rows = self.last[1]
+                if rows is not None:
+                    return rows
+        rows = basis_tile(seed, block, block_dim, k_lo, k_hi)
+        rows.flags.writeable = False
+        with self.lock:
+            if family != self.family:
+                self.clear()
+                self.family = family
+            if key in self.groups:
+                return self.groups[key]
+            if self.entries + rows.size <= _KEEP_MAX_ENTRIES:
+                self.groups[key] = rows
+                self.entries += rows.size
+            else:
+                self.last = (key, rows)
+        return rows
+
+
+# one keep for the process: sample_basis's callers pass no generation state
+_ROW_KEEP = _RowKeep()
 
 
 def sample_basis(seed: RandomSeed, block_dim: int, basis_index: int,
@@ -244,17 +294,19 @@ def sample_basis(seed: RandomSeed, block_dim: int, basis_index: int,
 
     The chunk's stream seed is derive_subseed(seed, 0, 0, block, basis_index),
     so chunks of different blocks or basis indices never share a stream.  The
-    row is copied out of a cached group of consecutive rows (at most one
-    generation span and 16 rows), so consecutive calls on one (seed, block,
-    block_dim) share one basis_tile call; the values are a fresh, writable
-    float32 array equal to basis_tile(seed, block, block_dim, k, k + 1)[0].
+    row is copied out of a group of consecutive rows (at most one generation
+    span and 16 rows) that the row keep holds while calls stay on one
+    (seed, block, block_dim), so a walk makes one basis_tile call per group
+    and a second walk over the kept groups makes none; the values are a
+    fresh, writable float32 array equal to
+    basis_tile(seed, block, block_dim, k, k + 1)[0].
     """
-    rho(block_dim)  # validates block_dim before any cache lookup
+    rho(block_dim)  # validates block_dim before any keep lookup
     if basis_index < 0:
         raise InvalidDimensionError("invalid basis index range")
     rows = max(1, min(_GROUP_MAX_ROWS, _SPAN // block_dim))
     k0 = basis_index - basis_index % rows
-    group = _row_group(int(seed) & MASK64, block, block_dim, k0, k0 + rows)
+    group = _ROW_KEEP.rows(int(seed) & MASK64, block, block_dim, k0, k0 + rows)
     return BasisChunk(seed=seed, basis_index=basis_index, block=block,
                       values=group[basis_index - k0].copy())
 

@@ -13,6 +13,12 @@ scalar loss evaluator along regenerable random directions:
 Each walk keeps its direction and probe point in one buffer for the whole
 walk, so ``loss_fn`` must not keep the arrays it is given.
 
+Every walk reads its rows through ``sample_basis``, whose row keep holds the
+groups of the last seed walked, so a replay right after its walk (the
+in-process fedkseed server's) reads the kept rows instead of generating them
+again.  Walks that move off ``sample_basis`` onto row groups of their own
+must take the keep with them.
+
 Directions here span the whole vector (truncation bound 1/sqrt(d_total)),
 matching the flat geometry of the methods being reproduced; block budgets of
 a partition are not consulted.

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fedproj import federation, models
+from fedproj import federation, models, randbasis
 from fedproj.errors import (
     ConfigError,
     DivergedError,
@@ -980,6 +980,39 @@ class TestWalkEvaluator:
                                  data)
         text = format_records_csv(records)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+@pytest.mark.parametrize("participation", [1.0, 0.5])
+def test_fedkseed_records_are_the_same_with_the_row_keep_off(participation,
+                                                             monkeypatch):
+    # K = 512 at d = 2,410 walks 40 row groups of 13 rows, and the row keep
+    # holds the first 33: each replay right after its client's walk
+    # regenerates 7 groups, and with the keep's cap at 0 all 40
+    model = ModelSpec("mlp", 64, 10, hidden_dim=32, init_seed=3)
+    data = synthetic_classification(120, 64, 10, seed=4)
+    clients = partition_data(data, 4, seed=5)
+    cfg = FedConfig(num_clients=4, rounds=2, local_iters=1, total_bases=512,
+                    local_lr=0.05, participation=participation,
+                    method="fedkseed", batch_size=32, root_seed=3)
+    walks = sum(len(sample_clients(cfg, r)) for r in range(cfg.rounds))
+    tile = randbasis.basis_tile
+    calls = []
+
+    def counting_tile(*args):
+        calls.append(args)
+        return tile(*args)
+
+    def records_csv():
+        calls.clear()
+        monkeypatch.setattr(randbasis, "_ROW_KEEP", randbasis._RowKeep())
+        return format_records_csv(run_experiment(cfg, model, clients, data))
+
+    monkeypatch.setattr(randbasis, "basis_tile", counting_tile)
+    kept = records_csv()
+    assert len(calls) == walks * (40 + 7)
+    monkeypatch.setattr(randbasis, "_KEEP_MAX_ENTRIES", 0)
+    assert records_csv() == kept
+    assert len(calls) == walks * (40 + 40)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

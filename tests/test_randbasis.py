@@ -469,3 +469,68 @@ def test_sample_basis_returns_independent_writable_rows():
     assert not np.shares_memory(again, first)
     np.testing.assert_array_equal(again, basis_tile(seed, 0, dim, 3, 4)[0])
     np.testing.assert_array_equal(neighbour, basis_tile(seed, 0, dim, 4, 5)[0])
+
+
+def _assert_keep_holds_one_family(keep):
+    """At most _KEEP_MAX_ENTRIES kept entries, each group read-only and equal
+    to its basis_tile rows in the keep's one family, and ``last`` of it too."""
+    assert keep.entries == sum(g.size for g in keep.groups.values())
+    assert keep.entries <= randbasis._KEEP_MAX_ENTRIES
+    seed, block, dim = keep.family[:3]
+    held = list(keep.groups.items())
+    if keep.last[0] is not None:
+        held.append(keep.last)
+    for (k_lo, _), rows in held:
+        assert not rows.flags.writeable
+        np.testing.assert_array_equal(
+            rows, basis_tile(seed, block, dim, k_lo, k_lo + rows.shape[0]))
+
+
+def test_row_keep_holds_at_most_its_cap_after_a_wide_walk(monkeypatch):
+    # at d = 2^20 a group is one row of 2^20 entries: row 0 fills the keep,
+    # and each later row is held alone until the next one replaces it
+    keep = randbasis._RowKeep()
+    monkeypatch.setattr(randbasis, "_ROW_KEEP", keep)
+    dim = 1 << 20
+    for k in range(3):
+        sample_basis(0x51DE, dim, k)
+    assert list(keep.groups) == [(0, int)]
+    assert keep.entries == randbasis._KEEP_MAX_ENTRIES
+    assert keep.last[0] == (2, int)
+    _assert_keep_holds_one_family(keep)
+
+
+def test_row_keep_holds_one_family_across_interleaved_streams(monkeypatch):
+    # each call switches stream, so the keep holds the one group just read
+    keep = randbasis._RowKeep()
+    monkeypatch.setattr(randbasis, "_ROW_KEEP", keep)
+    streams = [(3, 0, 1), (3, 1, 2047), (4, 0, 2049), (-1, 0, 32767),
+               (2**64 - 1, 0, 2410), (3, 0, 32769)]
+    for k in range(3):
+        for seed, block, dim in streams:
+            sample_basis(seed, dim, k, block=block)
+            assert keep.family[:3] == (seed & MASK64, block, dim)
+            assert len(keep.groups) == 1
+    _assert_keep_holds_one_family(keep)
+
+
+def test_row_keep_counts_a_group_once_when_threads_race_for_it(monkeypatch):
+    keep = randbasis._RowKeep()
+    monkeypatch.setattr(randbasis, "_ROW_KEEP", keep)
+    seed, dim, k_total = 0x7EAD, 2410, 64
+    orders = [random.Random(t).sample(range(k_total), k_total) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            walks = list(pool.map(
+                lambda order: {k: sample_basis(seed, dim, k).values for k in order},
+                orders, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    want = basis_tile(seed, 0, dim, 0, k_total)
+    for walk in walks:
+        for k, values in walk.items():
+            np.testing.assert_array_equal(values, want[k])
+    assert len(keep.groups) == math.ceil(k_total / 13)
+    _assert_keep_holds_one_family(keep)

@@ -321,6 +321,43 @@ def test_zeroth_order_divergence_is_the_same_on_both_transports(method):
     assert fields[0][2:] == (0, sample_clients(cfg, 0)[0], 1)
 
 
+def test_aggregate_overflow_is_the_same_on_both_transports():
+    # targets x 100 give finite client deltas larger than 1, so only the
+    # server's step server_lr * mean(delta) passes the double maximum
+    model, data, clients = task()
+    clients = [Dataset(c.features, 100.0 * c.targets) for c in clients]
+    cfg = FedConfig(num_clients=4, rounds=2, local_iters=5, total_bases=8,
+                    local_lr=0.05, root_seed=11, batch_size=32,
+                    participation=0.6, method="fedavg", server_lr=1e308)
+    state = federation.setup_experiment(cfg, model, clients, data)
+    deltas = [federation._client_sgd(cfg, model, None, state.w, i, clients[i], 0)
+              for i in sample_clients(cfg, 0)]
+    assert all(np.all(np.isfinite(d)) for d in deltas)
+    assert np.abs(np.mean(deltas, axis=0)).max() > sys.float_info.max / cfg.server_lr
+    with pytest.raises(DivergedError) as in_process:
+        run_experiment(cfg, model, clients, data)
+    with pytest.raises(DivergedError) as over_socket:
+        run_experiment_sockets(cfg, model, clients, data)
+    fields = [(type(e), str(e), e.round_index, e.client_id, e.iteration)
+              for e in (in_process.value, over_socket.value)]
+    assert fields[0] == fields[1]
+    assert fields[0][1:] == ("aggregated parameters are not finite", 0, None, 0)
+
+
+def test_fedkseed_socket_records_match_a_walk_longer_than_the_row_keep():
+    # K = 512 at d = 2,410: in-process, each replay reads the 33 row groups
+    # its client's walk kept and regenerates the 7 after them; the socket
+    # server regenerates all 40
+    model = ModelSpec("mlp", 64, 10, hidden_dim=32, init_seed=3)
+    data = synthetic_classification(120, 64, 10, seed=4)
+    clients = partition_data(data, 4, seed=5)
+    cfg = FedConfig(num_clients=4, rounds=2, local_iters=1, total_bases=512,
+                    local_lr=0.05, root_seed=3, batch_size=32,
+                    participation=0.5, method="fedkseed")
+    assert run_experiment(cfg, model, clients, data) == \
+        run_experiment_sockets(cfg, model, clients, data)
+
+
 # defect -> (client, error type, message after "client <i>: "); the NaN goes
 # to the first client that round 0 does not sample, so only a set-up check
 # reaches it before training

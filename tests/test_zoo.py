@@ -208,11 +208,9 @@ def test_fedkseed_names_step_when_evaluator_rejects_point():
     assert "perturbation 1" in str(err.value)
 
 
-def test_walks_generate_rows_in_span_sized_groups(monkeypatch):
-    # the fedkseed-mlp shape: d = 2,410 and K = 256; a 2^15-entry span holds
-    # 13 such rows, so each ascending walk takes ceil(256 / 13) = 20 tiles,
-    # and a whole fedzo estimate is one such walk
-    d, k_total = 2410, 256
+def _counted_tiles(monkeypatch) -> list:
+    """The (seed, block, dim, k_lo, k_hi) of each basis_tile call, from an
+    empty row keep."""
     calls = []
 
     def counting_tile(*args):
@@ -220,18 +218,47 @@ def test_walks_generate_rows_in_span_sized_groups(monkeypatch):
         return basis_tile(*args)
 
     monkeypatch.setattr(randbasis, "basis_tile", counting_tile)
+    monkeypatch.setattr(randbasis, "_ROW_KEEP", randbasis._RowKeep())
+    return calls
 
-    def loss(w):
-        return 0.5 * float(w @ w)
 
-    def tiles(walk):
+def _half_square(w):
+    return 0.5 * float(w @ w)
+
+
+def test_walks_generate_rows_in_span_sized_groups(monkeypatch):
+    # the fedkseed-mlp shape: d = 2,410 and K = 256; a 2^15-entry span holds
+    # 13 such rows, so an ascending walk over a new seed takes
+    # ceil(256 / 13) = 20 tiles, and a whole fedzo estimate is one such walk;
+    # the 20 groups (626,600 entries) fit in the row keep, so the replay of
+    # the same seed right after the walk generates nothing
+    d, k_total = 2410, 256
+    calls = _counted_tiles(monkeypatch)
+
+    def tiles(walk, count):
         calls.clear()
         result = walk()
-        assert len(calls) == 20
+        assert len(calls) == count
         return result
 
     w0 = np.linspace(-1.0, 1.0, d)
     cfg = ZOConfig(epsilon=1e-3, num_perturbations=k_total, seed=0xFEDC5EED)
-    w_end, log = tiles(lambda: fedkseed_local_step(w0, loss, cfg, lr=0.05))
-    assert np.array_equal(tiles(lambda: replay_scalar_log(w0, log, lr=0.05)), w_end)
-    tiles(lambda: zo_gradient(loss, w0, cfg))
+    other = ZOConfig(epsilon=1e-3, num_perturbations=k_total, seed=0x07E5EED)
+    w_end, log = tiles(lambda: fedkseed_local_step(w0, _half_square, cfg, lr=0.05), 20)
+    assert np.array_equal(tiles(lambda: replay_scalar_log(w0, log, lr=0.05), 0), w_end)
+    tiles(lambda: zo_gradient(_half_square, w0, other), 20)
+    assert np.array_equal(tiles(lambda: replay_scalar_log(w0, log, lr=0.05), 20), w_end)
+
+
+def test_a_replay_past_the_keep_regenerates_only_the_groups_after_it(monkeypatch):
+    # K = 512 takes 40 groups of 13 rows at d = 2,410; 33 of them fit in the
+    # keep (33 x 31,330 <= 2^20 < 34 x 31,330), so the replay makes the last 7
+    d, k_total, group = 2410, 512, 13
+    calls = _counted_tiles(monkeypatch)
+    w0 = np.linspace(-1.0, 1.0, d)
+    cfg = ZOConfig(epsilon=1e-3, num_perturbations=k_total, seed=0xFEDC5EED)
+    w_end, log = fedkseed_local_step(w0, _half_square, cfg, lr=0.05)
+    assert [c[3] for c in calls] == list(range(0, k_total, group))
+    calls.clear()
+    assert np.array_equal(replay_scalar_log(w0, log, lr=0.05), w_end)
+    assert [c[3] for c in calls] == list(range(33 * group, k_total, group))
